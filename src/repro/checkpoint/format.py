@@ -55,7 +55,9 @@ __all__ = [
 MAGIC = b"RPCKPT01"
 #: Schema version of the snapshot contract (manifest layout + what the
 #: payload contains).  Bump on incompatible change.
-SCHEMA = 1
+#: 2: event-queue entries are ``(time, seq, fn, args)`` tuples (schema 1
+#: queued ``(time, seq, EventHandle)``).
+SCHEMA = 2
 
 _LEN = struct.Struct(">I")
 

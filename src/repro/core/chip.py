@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..interconnect.packets import Packet, PacketType
-from ..mem.addr import l2_bank, line_addr
+from ..mem.addr import LINE_SHIFT, line_addr
 from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig
 from .cpu import CpuCore, make_cpu
@@ -54,6 +54,8 @@ class PiranhaChip(Component):
         # -- intra-chip switch + L2 + memory -------------------------------
         self.ics = IntraChipSwitch(sim, f"{self.name}.ics", config)
         self.banks: List[L2Bank] = []
+        #: bank steering mask (L2Params guarantees a power-of-two count)
+        self._bank_mask = config.l2.banks - 1
         self.mcs: List[MemoryController] = []
         for b in range(config.l2.banks):
             self.banks.append(
@@ -138,7 +140,7 @@ class PiranhaChip(Component):
 
     def bank_for(self, addr: int) -> L2Bank:
         """The L2 bank *addr* interleaves to (low line-address bits)."""
-        return self.banks[l2_bank(addr, self.config.l2.banks)]
+        return self.banks[(addr >> LINE_SHIFT) & self._bank_mask]
 
     def mc_for_bank(self, bank_idx: int) -> MemoryController:
         """The memory controller paired with one L2 bank."""
@@ -156,8 +158,9 @@ class PiranhaChip(Component):
         extra = self.extra_caches.get(cache_id)
         if extra is not None:
             return extra
-        cpu = CacheId.cpu(cache_id)
-        return self.l1i[cpu] if CacheId.is_instr(cache_id) else self.l1d[cpu]
+        # CacheId.cpu / CacheId.is_instr, inlined (a per-forward path)
+        cpu = cache_id >> 1
+        return self.l1i[cpu] if cache_id & 1 else self.l1d[cpu]
 
     def register_extra_cache(self, cache: L1Cache) -> int:
         """Attach an additional dL1-style client (PCI/X interface); returns
@@ -173,7 +176,7 @@ class PiranhaChip(Component):
     def issue_miss(self, req: MemRequest, reqtype: RequestType) -> None:
         """An L1 miss leaves the CPU: charge miss detection plus the ICS
         crossing, then hand to the owning L2 bank."""
-        bank = self.bank_for(req.addr)
+        bank = self.banks[(req.addr >> LINE_SHIFT) & self._bank_mask]
         if self.probes is not None and req.probe is None:
             req.probe = self.probes.maybe_attach(
                 req.txn_id, req.cpu_id, self.node_id, reqtype, self.sim.now)

@@ -78,6 +78,13 @@ class L2Params:
     inclusive: bool = False         # Piranha's headline no-inclusion policy
     pending_entries: int = 16       # concurrent outstanding transactions/bank
 
+    def __post_init__(self) -> None:
+        # banks interleave on the low line-address bits, so steering is a
+        # mask; the set count within a bank may be any positive number
+        if self.banks < 1 or self.banks & (self.banks - 1):
+            raise ValueError(
+                f"L2 bank count must be a power of two, got {self.banks}")
+
     @property
     def sets_per_bank(self) -> int:
         return self.size_bytes // (self.assoc * self.line_bytes * self.banks)

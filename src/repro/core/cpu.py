@@ -49,6 +49,11 @@ WorkItem = Tuple[int, Optional[AccessKind], int, bool]
 #: every CPU has warmed.
 WARMUP_DONE = -1
 
+# Access kinds the issue loops test on every memory reference, bound once:
+# reading a member off its Enum class costs about ten global lookups on
+# CPython 3.11.
+_IFETCH, _WH64, _MEMBAR = AccessKind.IFETCH, AccessKind.WH64, AccessKind.MEMBAR
+
 
 class CpuCore(Component):
     """Base class: workload-driven core attached to its iL1/dL1 pair."""
@@ -211,12 +216,12 @@ class InOrderCpu(CpuCore):
                     self.schedule(accum, self._run)
                     return
                 continue
-            if kind == AccessKind.MEMBAR:
+            if kind == _MEMBAR:
                 self.busy_ps += accum
                 self.schedule(accum, self._do_fence)
                 return
             self.refs += 1
-            is_instr = kind == AccessKind.IFETCH
+            is_instr = kind == _IFETCH
             if self.tlb_refill_ps:
                 tlb = self.itlb if is_instr else self.dtlb
                 if not tlb.lookup(addr):
@@ -234,21 +239,17 @@ class InOrderCpu(CpuCore):
             # Miss: the in-order core stalls for the full service time.
             self.busy_ps += accum
             self.misses += 1
-            if kind == AccessKind.WH64:
-                self.c_wh64.inc()
+            if kind == _WH64:
+                self.c_wh64.value += 1
             if self.obs_hook is not None and not is_instr:
                 self._obs_pending = (kind, addr)
             reqtype = request_for(kind, result.state)
-            req = MemRequest(
-                cpu_id=self.cpu_id, kind=kind, addr=addr, is_instr=is_instr,
-                done=self._miss_done, node=self.chip.node_id,
-            )
-            self.schedule(accum, self._issue, req, reqtype)
+            # the miss leaves the core once the folded hit time has passed
+            req = MemRequest(self.cpu_id, kind, addr, is_instr,
+                             self._miss_done, self.chip.node_id,
+                             issue_time=self.sim.now + accum)
+            self.schedule(accum, self.chip.issue_miss, req, reqtype)
             return
-
-    def _issue(self, req: MemRequest, reqtype) -> None:
-        req.issue_time = self.now
-        self.chip.issue_miss(req, reqtype)
 
     def _miss_done(self, latency_ps: int, source: ReplySource) -> None:
         self.stall_ps[source] += latency_ps
@@ -305,13 +306,13 @@ class OooCpu(CpuCore):
                     self.schedule(accum, self._run)
                     return
                 continue
-            if kind == AccessKind.MEMBAR:
+            if kind == _MEMBAR:
                 self.busy_ps += accum
                 self._draining_fence = True
                 self.schedule(accum, self._ooo_fence)
                 return
             self.refs += 1
-            is_instr = kind == AccessKind.IFETCH
+            is_instr = kind == _IFETCH
             if self.tlb_refill_ps:
                 tlb = self.itlb if is_instr else self.dtlb
                 if not tlb.lookup(addr):
@@ -336,15 +337,15 @@ class OooCpu(CpuCore):
             if self.obs_hook is not None and not streaming and not is_instr:
                 self._obs_pending = (kind, addr)
             req = MemRequest(
-                cpu_id=self.cpu_id, kind=kind, addr=addr, is_instr=is_instr,
-                done=(self._stream_done if streaming else self._dep_done),
-                node=self.chip.node_id,
+                self.cpu_id, kind, addr, is_instr,
+                self._stream_done if streaming else self._dep_done,
+                self.chip.node_id, issue_time=self.sim.now + accum,
             )
             if streaming:
                 # Independent miss: fully overlapped behind the window
                 # (MSHR-style); only MSHR pressure can expose its latency.
                 self.outstanding += 1
-                self.schedule(accum, self._issue, req, reqtype)
+                self.schedule(accum, self.chip.issue_miss, req, reqtype)
                 if batch >= MAX_BATCH_INSTRUCTIONS:
                     self.busy_ps += accum
                     self.schedule(accum, self._run)
@@ -352,12 +353,8 @@ class OooCpu(CpuCore):
                 continue
             self.busy_ps += accum
             self._blocked = True
-            self.schedule(accum, self._issue, req, reqtype)
+            self.schedule(accum, self.chip.issue_miss, req, reqtype)
             return
-
-    def _issue(self, req: MemRequest, reqtype) -> None:
-        req.issue_time = self.now
-        self.chip.issue_miss(req, reqtype)
 
     def _dep_done(self, latency_ps: int, source: ReplySource) -> None:
         hidden = min(latency_ps, self.overlap_ps)

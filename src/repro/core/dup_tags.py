@@ -70,7 +70,9 @@ class DuplicateTags:
 
     def add_sharer(self, line: int, cache_id: int, state: MESI,
                    make_owner: bool) -> DupEntry:
-        e = self.entries.setdefault(line, DupEntry())
+        e = self.entries.get(line)
+        if e is None:
+            e = self.entries[line] = DupEntry()
         e.sharers.add(cache_id)
         e.states[cache_id] = state
         if make_owner:
@@ -80,7 +82,9 @@ class DuplicateTags:
         return e
 
     def set_l2_owner(self, line: int) -> None:
-        e = self.entries.setdefault(line, DupEntry())
+        e = self.entries.get(line)
+        if e is None:
+            e = self.entries[line] = DupEntry()
         e.owner = L2_OWNER
 
     def set_state(self, line: int, cache_id: int, state: MESI) -> None:

@@ -25,7 +25,7 @@ from .config import L1Params
 from .messages import MESI, AccessKind
 
 
-@dataclass
+@dataclass(slots=True)
 class L1Line:
     """One resident cache line."""
 
@@ -36,7 +36,7 @@ class L1Line:
     version: int = 0          # data-token for the coherence checker
 
 
-@dataclass
+@dataclass(slots=True)
 class Eviction:
     """Information about a victim line handed back to the caller."""
 
@@ -48,7 +48,11 @@ class Eviction:
 
 
 class LookupResult:
-    """Outcome of a CPU-side lookup."""
+    """Outcome of a CPU-side lookup.
+
+    :meth:`L1Cache.lookup` returns the shared module constants below
+    rather than a fresh object per access, so results are read-only.
+    """
 
     __slots__ = ("hit", "needs_upgrade", "state")
 
@@ -56,6 +60,20 @@ class LookupResult:
         self.hit = hit
         self.needs_upgrade = needs_upgrade
         self.state = state
+
+
+#: the only results :meth:`L1Cache.lookup` returns (never mutated)
+MISS = LookupResult(False, False, MESI.INVALID)
+UPGRADE = LookupResult(False, True, MESI.SHARED)
+#: hit results indexed by the line's MESI state
+HITS = tuple(LookupResult(True, False, state) for state in MESI)
+
+#: access kinds that write the line (a hit on them dirties it)
+_WRITE_KINDS = frozenset({AccessKind.STORE, AccessKind.STORE_COND,
+                          AccessKind.WH64})
+# States read on every lookup, bound once: reading a member off its Enum
+# class costs about ten global lookups on CPython 3.11.
+_INVALID, _SHARED, _MODIFIED = MESI.INVALID, MESI.SHARED, MESI.MODIFIED
 
 
 class L1Cache:
@@ -83,14 +101,6 @@ class L1Cache:
         return {"lookups": self.n_lookups, "hits": self.n_hits,
                 "upgrades": self.n_upgrades}
 
-    # -- geometry ----------------------------------------------------------
-
-    def _index(self, addr: int) -> int:
-        return (addr >> LINE_SHIFT) & self._set_mask
-
-    def _tag(self, addr: int) -> int:
-        return addr >> LINE_SHIFT
-
     # -- CPU side ------------------------------------------------------------
 
     def lookup(self, addr: int, kind: AccessKind) -> LookupResult:
@@ -104,31 +114,32 @@ class L1Cache:
         tag = addr >> LINE_SHIFT
         lru_set = self.sets[tag & self._set_mask]
         line = lru_set.get(tag)
-        if line is None or line.state == MESI.INVALID:
-            return LookupResult(False, False, MESI.INVALID)
+        if line is None or line.state == _INVALID:
+            return MISS
         lru_set.move_to_end(tag)
-        is_write = kind in (AccessKind.STORE, AccessKind.STORE_COND, AccessKind.WH64)
-        if is_write:
-            if line.state == MESI.SHARED:
+        if kind in _WRITE_KINDS:
+            if line.state == _SHARED:
                 self.n_upgrades += 1
-                return LookupResult(False, True, MESI.SHARED)
+                return UPGRADE
             # E -> M transition is silent on-chip.
-            line.state = MESI.MODIFIED
+            line.state = _MODIFIED
             line.dirty = True
             line.version += 1
         self.n_hits += 1
-        return LookupResult(True, False, line.state)
+        return HITS[line.state]
 
     # -- chip side -----------------------------------------------------------
 
     def peek(self, addr: int) -> Optional[L1Line]:
         """Non-destructive lookup (no LRU update)."""
-        return self.sets[self._index(addr)].get(self._tag(addr))
+        tag = addr >> LINE_SHIFT
+        return self.sets[tag & self._set_mask].get(tag)
 
     def choose_victim(self, addr: int) -> Optional[int]:
         """Line address that :meth:`fill` would evict, or None."""
-        lru_set = self.sets[self._index(addr)]
-        if self._tag(addr) in lru_set or len(lru_set) < self.assoc:
+        tag = addr >> LINE_SHIFT
+        lru_set = self.sets[tag & self._set_mask]
+        if tag in lru_set or len(lru_set) < self.assoc:
             return None
         victim_tag = next(iter(lru_set))
         return victim_tag << LINE_SHIFT
@@ -144,10 +155,10 @@ class L1Cache:
         """Install a line, returning the eviction (if any) for the caller
         (the L2 transaction flow) to route: owner lines write back to the
         L2, non-owner lines just update the duplicate tags."""
-        if state == MESI.INVALID:
+        if state == _INVALID:
             raise ValueError("cannot fill an INVALID line")
-        lru_set = self.sets[self._index(addr)]
-        tag = self._tag(addr)
+        tag = addr >> LINE_SHIFT
+        lru_set = self.sets[tag & self._set_mask]
         evicted: Optional[Eviction] = None
         existing = lru_set.get(tag)
         if existing is not None:
@@ -159,23 +170,17 @@ class L1Cache:
             return None
         if len(lru_set) >= self.assoc:
             victim_tag, victim = lru_set.popitem(last=False)
-            evicted = Eviction(
-                addr=victim_tag << LINE_SHIFT,
-                state=victim.state,
-                owner=victim.owner,
-                dirty=victim.dirty,
-                version=victim.version,
-            )
-        lru_set[tag] = L1Line(tag=tag, state=state, owner=owner,
-                              dirty=dirty, version=version)
+            evicted = Eviction(victim_tag << LINE_SHIFT, victim.state,
+                               victim.owner, victim.dirty, victim.version)
+        lru_set[tag] = L1Line(tag, state, owner, dirty, version)
         return evicted
 
     def invalidate(self, addr: int) -> Optional[L1Line]:
         """Remove a line (on-chip invalidations need no ack: the intra-chip
         switch's ordering guarantees make them safe — Section 2.3).
         Returns the removed line so the caller can recover dirty data."""
-        lru_set = self.sets[self._index(addr)]
-        return lru_set.pop(self._tag(addr), None)
+        tag = addr >> LINE_SHIFT
+        return self.sets[tag & self._set_mask].pop(tag, None)
 
     def downgrade(self, addr: int) -> Optional[L1Line]:
         """M/E -> S transition (remote or local read of an exclusive line).

@@ -37,23 +37,43 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..mem.addr import LINE_SHIFT, line_addr
+from ..mem.addr import LINE_BYTES, LINE_SHIFT, line_addr
 from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig
 from .directory import DirectoryEntry, DirState
 from .dup_tags import L2_OWNER, DuplicateTags
 from .l1 import Eviction, L1Cache
 from .messages import (
+    MEMORY_SOURCES,
     MESI,
     AccessKind,
-    CacheId,
     MemRequest,
     ReplySource,
     RequestType,
 )
 
+#: ``line_addr`` as a mask, for the inlined copies on the request path
+_LINE_MASK = ~(LINE_BYTES - 1)
+#: Enum members read on the per-miss path, bound once as module globals:
+#: reading a member off its Enum class costs about ten global lookups on
+#: CPython 3.11 (the Enum metaclass defeats the attribute cache).
+_SHARED, _EXCLUSIVE, _MODIFIED = MESI.SHARED, MESI.EXCLUSIVE, MESI.MODIFIED
+#: states whose fill must sweep every other on-chip copy
+_EXCLUSIVE_STATES = frozenset({MESI.EXCLUSIVE, MESI.MODIFIED})
+_READ = RequestType.READ
+_READ_EXCLUSIVE = RequestType.READ_EXCLUSIVE
+_UPGRADE_REQ = RequestType.EXCLUSIVE
+_NO_DATA_REQ = RequestType.EXCLUSIVE_NO_DATA
+_L2_HIT, _L2_FWD = ReplySource.L2_HIT, ReplySource.L2_FWD
+_LOCAL_MEM = ReplySource.LOCAL_MEM
+_DIR_UNCACHED, _DIR_EXCLUSIVE = DirState.UNCACHED, DirState.EXCLUSIVE
+_DIR_SHARED_STATES = frozenset({DirState.SHARED, DirState.SHARED_COARSE})
+#: the directory a single-node (or directory-skipping) fill sees; frozen,
+#: so one instance serves every such fill
+_NO_REMOTE_COPIES = DirectoryEntry.uncached()
 
-@dataclass
+
+@dataclass(slots=True)
 class L2Line:
     """One L2-resident line."""
 
@@ -96,7 +116,6 @@ class L2Bank(Component):
         self.inclusive = p.inclusive
         self.assoc = p.assoc
         self.num_sets = p.sets_per_bank
-        self._set_mask = self.num_sets - 1
         self._bank_mask = p.banks - 1
         self._bank_shift = LINE_SHIFT
         self._nbank_bits = self._bank_mask.bit_length()
@@ -151,7 +170,9 @@ class L2Bank(Component):
     # -- geometry ----------------------------------------------------------
 
     def _set_of(self, line: int) -> int:
-        return ((line >> LINE_SHIFT) >> self._nbank_bits) & self._set_mask
+        # modulo, not a mask: a bank's set count need not be a power of
+        # two (e.g. 6-way or 192 KB geometries)
+        return ((line >> LINE_SHIFT) >> self._nbank_bits) % self.num_sets
 
     def _bank_bits(self) -> int:
         return self._nbank_bits
@@ -165,50 +186,57 @@ class L2Bank(Component):
 
     def request(self, req: MemRequest, reqtype: RequestType) -> None:
         """Handle one L1 miss / upgrade for a line mapping to this bank."""
-        line = line_addr(req.addr)
-        self.c_requests.inc()
+        line = req.addr & _LINE_MASK
+        self.c_requests.value += 1
         if req.probe is not None:
             # re-stamped on every arrival, so conflict-serialisation wait
             # (pending-entry queueing) is attributed to the bank hop
-            req.probe.stamp("bank", self.now)
-        entry = self.pending.get(line)
+            req.probe.stamp("bank", self.sim.now)
+        pending = self.pending
+        entry = pending.get(line)
         if entry is not None:
-            self.c_conflicts.inc()
+            self.c_conflicts.value += 1
             entry.waiters.append((req, reqtype))
             return
-        if len(self.pending) >= self.pending_limit:
+        if len(pending) >= self.pending_limit:
             self.overflow.append((req, reqtype))
             return
-        self.pending[line] = PendingEntry(line)
+        pending[line] = PendingEntry(line)
         # The L2 tag and duplicate L1 tag lookup happen in parallel.
         self.schedule(self.t_tag, self._after_tag_lookup, req, reqtype, line)
 
     def _after_tag_lookup(self, req: MemRequest, reqtype: RequestType,
                           line: int) -> None:
         if req.probe is not None:
-            req.probe.stamp("l2_tag", self.now)
-        cache_id = CacheId.encode(req.cpu_id, req.is_instr)
-        l1_owner = self.dup.l1_owner(line)
-        if l1_owner is not None and l1_owner != cache_id:
-            self._serve_fwd(req, reqtype, line, l1_owner)
-            return
-        if cache_id in self.dup.sharers(line):
-            # The requester's own L1 already holds the line — a non-blocking
-            # core can have queued this request behind an earlier miss to
-            # the same line that has since filled.
-            own = self.chip.l1_by_id(cache_id).peek(line)
-            if own is not None:
-                if reqtype == RequestType.READ:
-                    # Complete from the local copy (hit-equivalent).
-                    self.schedule(self.t_ics, self._fill, req, line,
-                                  own.state, own.owner, own.version,
-                                  own.dirty, ReplySource.L2_HIT)
-                    return
-                # Exclusive-class requests become upgrades — exactly what
-                # the protocol's dedicated 'exclusive' request type is for.
-                self._serve_upgrade(req, line, cache_id)
+            req.probe.stamp("l2_tag", self.sim.now)
+        # CacheId.encode, inlined as in the rest of the per-miss path
+        cache_id = req.cpu_id * 2 + (1 if req.is_instr else 0)
+        dup_e = self.dup.entries.get(line)
+        if dup_e is not None:
+            l1_owner = dup_e.owner
+            if (l1_owner is not None and l1_owner != L2_OWNER
+                    and l1_owner != cache_id):
+                self._serve_fwd(req, reqtype, line, l1_owner)
                 return
-        l2line = self._l2_line(line)
+            if cache_id in dup_e.sharers:
+                # The requester's own L1 already holds the line — a
+                # non-blocking core can have queued this request behind an
+                # earlier miss to the same line that has since filled.
+                own = self.chip.l1_by_id(cache_id).peek(line)
+                if own is not None:
+                    if reqtype == _READ:
+                        # Complete from the local copy (hit-equivalent).
+                        self.schedule(self.t_ics, self._fill, req, line,
+                                      own.state, own.owner, own.version,
+                                      own.dirty, _L2_HIT)
+                        return
+                    # Exclusive-class requests become upgrades — exactly
+                    # what the protocol's dedicated 'exclusive' request
+                    # type is for.
+                    self._serve_upgrade(req, line, cache_id)
+                    return
+        tag = line >> LINE_SHIFT
+        l2line = self.sets[(tag >> self._nbank_bits) % self.num_sets].get(tag)
         if l2line is not None:
             self._serve_l2_hit(req, reqtype, line, l2line)
             return
@@ -216,10 +244,10 @@ class L2Bank(Component):
         # exists solely to satisfy *forwarded* requests until the home acks
         # (no-NAK guarantee).  A local re-reference goes back to the home,
         # which orders it against the in-flight write-back.
-        if reqtype == RequestType.EXCLUSIVE:
+        if reqtype == _UPGRADE_REQ:
             # The S copy vanished between the L1 lookup and now (conflict
             # resolution); fall back to a full read-exclusive.
-            reqtype = RequestType.READ_EXCLUSIVE
+            reqtype = _READ_EXCLUSIVE
         self._serve_miss(req, reqtype, line)
 
     # -- on-chip service paths ---------------------------------------------
@@ -236,15 +264,14 @@ class L2Bank(Component):
             # The requester's copy was invalidated between the duplicate-
             # tag lookup and the grant (a racing exclusive swept it): the
             # upgrade degenerates into a full read-exclusive.
-            self._serve_miss(req, RequestType.READ_EXCLUSIVE, line)
+            self._serve_miss(req, _READ_EXCLUSIVE, line)
             return
         if self._must_wait_for_home(line):
-            self._launch_remote_request(req, RequestType.EXCLUSIVE, line)
+            self._launch_remote_request(req, _UPGRADE_REQ, line)
             return
-        self.c_upgrades.inc()
+        self.c_upgrades.value += 1
         version = own_line.version
-        self._fill(req, line, MESI.MODIFIED, owner=True, version=version + 1,
-                   dirty=True, source=ReplySource.L2_HIT)
+        self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_HIT)
         self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
 
     def _serve_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
@@ -252,7 +279,8 @@ class L2Bank(Component):
         """Another on-chip L1 owns the line: forward and serve L1-to-L1."""
         delay = self.t_ics + self.t_owner + self.t_ics
         if req.probe is not None:
-            req.probe.stamp("fwd_owner", self.now + self.t_ics + self.t_owner)
+            req.probe.stamp("fwd_owner",
+                            self.sim.now + self.t_ics + self.t_owner)
         self.schedule(delay, self._finish_fwd, req, reqtype, line, owner_id)
 
     def _finish_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
@@ -265,29 +293,28 @@ class L2Bank(Component):
             # lookup — the dup tags have been updated meanwhile.
             self.schedule(self.t_tag, self._after_tag_lookup, req, reqtype, line)
             return
-        self.c_fwds.inc()
+        self.c_fwds.value += 1
         version = owner_line.version
         dirty = owner_line.dirty
-        if reqtype == RequestType.READ:
-            owner_l1.downgrade(line)
-            owner_l1.set_owner(line, False)
+        if reqtype == _READ:
+            # downgrade + ownership hand-off, on the line peek() returned
+            owner_line.state = _SHARED
+            owner_line.owner = False
             if self.chip.checker is not None:
                 self.chip.checker.on_downgrade(self.chip.node_id, owner_id, line)
             # dirtiness travels with ownership
             owner_line.dirty = False
-            self.dup.set_state(line, owner_id, MESI.SHARED)
-            e = self.dup.entry(line)
+            e = self.dup.entries.get(line)
             if e is not None:
+                if owner_id in e.sharers:
+                    e.states[owner_id] = _SHARED
                 e.owner = None
-            self._fill(req, line, MESI.SHARED, owner=True, version=version,
-                       dirty=dirty, source=ReplySource.L2_FWD)
+            self._fill(req, line, _SHARED, True, version, dirty, _L2_FWD)
         else:
             if self._must_wait_for_home(line):
-                self._launch_remote_request(req, RequestType.EXCLUSIVE, line)
+                self._launch_remote_request(req, _UPGRADE_REQ, line)
                 return
-            self._fill(req, line, MESI.MODIFIED, owner=True,
-                       version=version + 1, dirty=True,
-                       source=ReplySource.L2_FWD)
+            self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_FWD)
             self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
 
     def _serve_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
@@ -296,19 +323,21 @@ class L2Bank(Component):
         if req.probe is not None:
             # the whole delay is charged in one event, so stamp the data
             # array completion at its computed (future) time
-            req.probe.stamp("l2_data", self.now + self.t_data)
+            req.probe.stamp("l2_data", self.sim.now + self.t_data)
         self.schedule(delay, self._finish_l2_hit, req, reqtype, line, l2line)
 
     def _finish_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
                        l2line: L2Line) -> None:
-        self.c_hits.inc()
+        self.c_hits.value += 1
         version = l2line.version
-        sharers = self.dup.sharers(line)
-        cache_id = CacheId.encode(req.cpu_id, req.is_instr)
-        others = sharers - {cache_id}
-        if reqtype == RequestType.READ:
+        if reqtype == _READ:
+            cache_id = req.cpu_id * 2 + (1 if req.is_instr else 0)
+            e = self.dup.entries.get(line)
+            # no on-chip copy other than (possibly) the requester's own
+            alone = (e is None or not e.sharers
+                     or (len(e.sharers) == 1 and cache_id in e.sharers))
             can_be_exclusive = (
-                not others
+                alone
                 and line not in self.remote_cached
                 and self.our_mode.get(line) != "S"
             )
@@ -319,38 +348,33 @@ class L2Bank(Component):
                 # the duplicate-tag owner pointer covers staleness.)
                 if not self.inclusive:
                     self._drop_l2_copy(line, l2line)
-                self._fill(req, line, MESI.EXCLUSIVE, owner=True,
-                           version=version, dirty=l2line.dirty,
-                           source=ReplySource.L2_HIT)
+                self._fill(req, line, _EXCLUSIVE, True, version,
+                           l2line.dirty, _L2_HIT)
             else:
                 self.dup.set_l2_owner(line)
-                self._fill(req, line, MESI.SHARED, owner=False,
-                           version=version, dirty=False,
-                           source=ReplySource.L2_HIT)
+                self._fill(req, line, _SHARED, False, version, False, _L2_HIT)
         else:
             if self._must_wait_for_home(line):
-                self._launch_remote_request(req, RequestType.EXCLUSIVE, line)
+                self._launch_remote_request(req, _UPGRADE_REQ, line)
                 return
-            self._fill(req, line, MESI.MODIFIED, owner=True,
-                       version=version + 1, dirty=True,
-                       source=ReplySource.L2_HIT)
+            self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_HIT)
             self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
 
     # -- miss path -----------------------------------------------------------
 
     def _serve_miss(self, req: MemRequest, reqtype: RequestType, line: int) -> None:
         if self.chip.is_home(line):
-            mc = self.chip.mc_for_bank(self.bank_idx)
-            wants_data = reqtype != RequestType.EXCLUSIVE_NO_DATA
+            mc = self.chip.mcs[self.bank_idx]
+            wants_data = reqtype != _NO_DATA_REQ
             if not wants_data and self.chip.num_nodes == 1:
                 # Single node: no directory exists; grant straight away.
-                self.c_wh64_data_avoided.inc()
+                self.c_wh64_data_avoided.value += 1
                 self.schedule(self.t_ics, self._finish_local_mem, req, reqtype,
                               line, 0, True)
                 return
             if not wants_data:
-                self.c_wh64_data_avoided.inc()
-            res = mc.read_line(line, probe=req.probe)  # data + in-ECC directory
+                self.c_wh64_data_avoided.value += 1
+            res = mc.read_line(line, req.probe)  # data + in-ECC directory
             self.schedule(res.critical_word_ps + self.t_ics,
                           self._finish_local_mem, req, reqtype, line,
                           res.critical_word_ps, False)
@@ -360,39 +384,36 @@ class L2Bank(Component):
     def _finish_local_mem(self, req: MemRequest, reqtype: RequestType,
                           line: int, mem_ps: int, skipped_dir: bool) -> None:
         if self.chip.num_nodes == 1 or skipped_dir:
-            direntry = DirectoryEntry.uncached()
+            direntry = _NO_REMOTE_COPIES
         else:
             direntry = self.chip.dirstore.read(line)
         version = self.chip.mem_version(line)
-        if reqtype == RequestType.READ:
-            if direntry.state == DirState.EXCLUSIVE:
+        if reqtype == _READ:
+            if direntry.state == _DIR_EXCLUSIVE:
                 # 3-hop: a remote node owns the line dirty.
                 self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
                 return
-            self.c_local_mem.inc()
-            if direntry.state == DirState.UNCACHED:
-                self._fill(req, line, MESI.EXCLUSIVE, owner=True,
-                           version=version, dirty=False,
-                           source=ReplySource.LOCAL_MEM)
+            self.c_local_mem.value += 1
+            if direntry.state == _DIR_UNCACHED:
+                self._fill(req, line, _EXCLUSIVE, True, version, False,
+                           _LOCAL_MEM)
             else:
                 self.remote_cached.add(line)
-                self._fill(req, line, MESI.SHARED, owner=True,
-                           version=version, dirty=False,
-                           source=ReplySource.LOCAL_MEM)
+                self._fill(req, line, _SHARED, True, version, False,
+                           _LOCAL_MEM)
         else:
-            if direntry.state == DirState.EXCLUSIVE:
+            if direntry.state == _DIR_EXCLUSIVE:
                 self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
                 return
-            self.c_local_mem.inc()
-            needs_invals = direntry.state in (DirState.SHARED, DirState.SHARED_COARSE)
+            self.c_local_mem.value += 1
+            needs_invals = direntry.state in _DIR_SHARED_STATES
             if needs_invals:
                 # The background campaign below must write the directory
                 # before any other home-side transaction for the line runs
                 # (its sharer snapshot is only valid under serialisation).
                 self._local_inval_due.add(line)
-            self._fill(req, line, MESI.MODIFIED, owner=True,
-                       version=version + 1, dirty=True,
-                       source=ReplySource.LOCAL_MEM)
+            self._fill(req, line, _MODIFIED, True, version + 1, True,
+                       _LOCAL_MEM)
             if needs_invals:
                 # Eager exclusive grant; the home engine drives the remote
                 # invalidations and gathers the acks in the background.
@@ -413,7 +434,7 @@ class L2Bank(Component):
         exclusive = reqtype != RequestType.READ
 
         def on_fill(version: int, state: MESI) -> None:
-            self.c_remote_dirty.inc()
+            self.c_remote_dirty.value += 1
             if exclusive:
                 self._fill(req, line, MESI.MODIFIED, owner=True,
                            version=version + 1, dirty=True,
@@ -449,12 +470,13 @@ class L2Bank(Component):
                 self.our_mode[line] = "S"
                 src = (ReplySource.REMOTE_DIRTY if three_hop
                        else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
+                (self.c_remote_dirty if three_hop
+                 else self.c_remote_mem).value += 1
                 self._fill(req, line, MESI.SHARED, owner=True,
                            version=version, dirty=False, source=src)
             elif state == "E":
                 self.our_mode[line] = "E"
-                self.c_remote_mem.inc()
+                self.c_remote_mem.value += 1
                 self._fill(req, line, MESI.EXCLUSIVE, owner=True,
                            version=version, dirty=False,
                            source=ReplySource.REMOTE_MEM)
@@ -462,7 +484,8 @@ class L2Bank(Component):
                 self.our_mode[line] = "E"
                 src = (ReplySource.REMOTE_DIRTY if three_hop
                        else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
+                (self.c_remote_dirty if three_hop
+                 else self.c_remote_mem).value += 1
                 if reqtype == RequestType.EXCLUSIVE:
                     # An upgrade grant carries no data: the write builds on
                     # our own cached copy, which may be fresher than the
@@ -517,39 +540,36 @@ class L2Bank(Component):
     # Fill + completion
     # -----------------------------------------------------------------------
 
-    def _allocate_if_inclusive(self, line: int, version: int) -> None:
-        """Inclusive-mode ablation: memory fills also allocate in the L2
-        (exactly what Piranha's no-inclusion policy avoids)."""
-        if self.inclusive:
-            self._victim_fill(line, version, dirty=False)
-
     def _fill(self, req: MemRequest, line: int, state: MESI, owner: bool,
               version: int, dirty: bool, source: ReplySource) -> None:
-        if source in (ReplySource.LOCAL_MEM, ReplySource.REMOTE_MEM,
-                      ReplySource.REMOTE_DIRTY):
-            self._allocate_if_inclusive(line, version)
-        cache_id_req = CacheId.encode(req.cpu_id, req.is_instr)
-        if state in (MESI.EXCLUSIVE, MESI.MODIFIED):
+        if self.inclusive and source in MEMORY_SOURCES:
+            # Inclusive-mode ablation: memory fills also allocate in the
+            # L2 (exactly what Piranha's no-inclusion policy avoids).
+            self._victim_fill(line, version, False)
+        cpu_id = req.cpu_id
+        is_instr = req.is_instr
+        cache_id = cpu_id * 2 + (1 if is_instr else 0)
+        if state in _EXCLUSIVE_STATES:
             # Single-writer invariant: an exclusive grant sweeps every
             # other on-chip copy (ICS ordering makes this ack-free).
-            self._invalidate_on_chip(line, except_cache=cache_id_req)
+            self._invalidate_on_chip(line, cache_id)
             if not self.inclusive:
                 self._drop_l2_copy(line, self._l2_line(line))
             # (inclusive mode keeps the L2 copy at its old version; the
             # dup tags' owner pointer routes reads to the fresh L1 copy,
             # and eviction recovers the freshest version from the L1s)
-        l1 = self.chip.l1_of(req.cpu_id, req.is_instr)
-        evicted = l1.fill(line, state, owner=owner, version=version, dirty=dirty)
-        cache_id = CacheId.encode(req.cpu_id, req.is_instr)
-        self.dup.add_sharer(line, cache_id, state, make_owner=owner)
-        if self.chip.checker is not None:
-            self.chip.checker.on_fill(self.chip.node_id, cache_id, line,
-                                      state, version)
+        chip = self.chip
+        evicted = chip.l1_of(cpu_id, is_instr).fill(line, state, owner,
+                                                   version, dirty)
+        self.dup.add_sharer(line, cache_id, state, owner)
+        if chip.checker is not None:
+            chip.checker.on_fill(chip.node_id, cache_id, line, state, version)
+        now = self.sim.now
         if req.probe is not None:
-            req.probe.stamp("fill", self.now)
-        req.complete(self.now, source)
+            req.probe.stamp("fill", now)
+        req.complete(now, source)
         if evicted is not None:
-            self.chip.route_l1_eviction(cache_id, evicted)
+            chip.route_l1_eviction(cache_id, evicted)
         self._resolve_pending(line)
 
     def _resolve_pending(self, line: int) -> None:
@@ -616,8 +636,8 @@ class L2Bank(Component):
             owner_line = owner_l1.peek(line)
             if owner_line is None:
                 return None
-            self.c_requests.inc()
-            self.c_fwds.inc()
+            self.c_requests.value += 1
+            self.c_fwds.value += 1
             version = owner_line.version
             dirty = owner_line.dirty
             if reqtype == RequestType.READ:
@@ -639,23 +659,22 @@ class L2Bank(Component):
         if dup_e is not None and cache_id in dup_e.sharers:
             own = chip.l1_by_id(cache_id).peek(line)
             if own is not None:
-                self.c_requests.inc()
+                self.c_requests.value += 1
                 if reqtype == RequestType.READ:
                     self._warm_fill(cache_id, line, own.state,
                                     own.owner, own.version, own.dirty,
                                     ReplySource.L2_HIT)
                 else:
-                    self.c_upgrades.inc()
+                    self.c_upgrades.value += 1
                     self._warm_fill(cache_id, line, MESI.MODIFIED,
                                     True, own.version + 1, True,
                                     ReplySource.L2_HIT)
                 return ReplySource.L2_HIT
-        l2line = self.sets[
-            ((line >> LINE_SHIFT) >> self._nbank_bits) & self._set_mask
-        ].get(line >> LINE_SHIFT)
+        tag = line >> LINE_SHIFT
+        l2line = self.sets[(tag >> self._nbank_bits) % self.num_sets].get(tag)
         if l2line is not None:
-            self.c_requests.inc()
-            self.c_hits.inc()
+            self.c_requests.value += 1
+            self.c_hits.value += 1
             version = l2line.version
             others = (dup_e is not None
                       and bool(dup_e.sharers - {cache_id}))
@@ -689,14 +708,14 @@ class L2Bank(Component):
                 return None
             if chip.dirstore.read(line).state != DirState.UNCACHED:
                 return None
-        self.c_requests.inc()
+        self.c_requests.value += 1
         wants_data = reqtype != RequestType.EXCLUSIVE_NO_DATA
         if not wants_data:
-            self.c_wh64_data_avoided.inc()
+            self.c_wh64_data_avoided.value += 1
         if wants_data or multi:
             chip.mc_for_bank(self.bank_idx).warm_read_line(line)
         version = chip.mem_version(line)
-        self.c_local_mem.inc()
+        self.c_local_mem.value += 1
         if reqtype == RequestType.READ:
             self._warm_fill(cache_id, line, MESI.EXCLUSIVE, True,
                             version, False, ReplySource.LOCAL_MEM)
@@ -716,10 +735,9 @@ class L2Bank(Component):
         cascade may schedule a remote write-back, which the fast-forward
         driver drains before advancing time."""
         chip = self.chip
-        if source in (ReplySource.LOCAL_MEM, ReplySource.REMOTE_MEM,
-                      ReplySource.REMOTE_DIRTY):
-            self._allocate_if_inclusive(line, version)
-        if state is MESI.EXCLUSIVE or state is MESI.MODIFIED:
+        if self.inclusive and source in MEMORY_SOURCES:
+            self._victim_fill(line, version, False)
+        if state in _EXCLUSIVE_STATES:
             self._invalidate_on_chip(line, except_cache=cache_id)
             if not self.inclusive:
                 self._drop_l2_copy(line, self._l2_line(line))
@@ -747,14 +765,14 @@ class L2Bank(Component):
         if not ev.owner:
             if self.inclusive and ev.dirty:
                 self._victim_fill(line, ev.version, True)
-            self.c_l1_evict_clean.inc()
+            self.c_l1_evict_clean.value += 1
             e = self.dup.entry(line)
             if e is None and self._l2_line(line) is None:
                 self._line_left_chip(line)
             return
         # Owner replacement: write the line back into the L2 (victim fill)
         # even when clean — this is what makes the L2 a victim cache.
-        self.c_l1_wb_owner.inc()
+        self.c_l1_wb_owner.value += 1
         self._victim_fill(line, ev.version, ev.dirty)
         self.dup.set_l2_owner(line)
 
@@ -769,10 +787,10 @@ class L2Bank(Component):
         if len(lset) >= self.assoc:
             victim_tag, victim = lset.popitem(last=False)  # least recently loaded
             self._evict_l2_line(victim_tag << LINE_SHIFT, victim)
-        lset[tag] = L2Line(tag=tag, dirty=dirty, version=version)
+        lset[tag] = L2Line(tag, dirty, version)
 
     def _evict_l2_line(self, vline: int, victim: L2Line) -> None:
-        self.c_l2_evictions.inc()
+        self.c_l2_evictions.value += 1
         home_local = self.chip.is_home(vline)
         sharers = self.dup.sharers(vline)
         if self.inclusive and sharers:
@@ -799,7 +817,7 @@ class L2Bank(Component):
             if new_owner is not None:
                 self.chip.l1_by_id(new_owner).set_owner(vline, True)
             if victim.dirty:
-                self.c_l2_dirty_evictions.inc()
+                self.c_l2_dirty_evictions.value += 1
                 self.chip.mem_write_back(vline, victim.version, self.bank_idx)
             return
         # Remote-home lines keep the conservative rule (invalidate L1
@@ -812,7 +830,7 @@ class L2Bank(Component):
                 self.chip.checker.on_invalidate(self.chip.node_id, sharer, vline)
         self.dup.drop_line(vline)
         if victim.dirty:
-            self.c_l2_dirty_evictions.inc()
+            self.c_l2_dirty_evictions.value += 1
             if home_local:
                 self.chip.mem_write_back(vline, victim.version, self.bank_idx)
             else:
@@ -862,7 +880,10 @@ class L2Bank(Component):
         e = self.dup.entries.get(line)
         if e is None:
             return
-        for sharer in list(e.sharers):
+        sharers = e.sharers
+        if not sharers or (len(sharers) == 1 and except_cache in sharers):
+            return  # nothing to sweep (the common exclusive fill)
+        for sharer in list(sharers):
             if sharer == except_cache:
                 continue
             l1 = self.chip.l1_by_id(sharer)

@@ -22,7 +22,7 @@ from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig, LatencyParams, MemoryParams
 
 
-@dataclass
+@dataclass(slots=True)
 class MemAccessResult:
     """Timing outcome of one line access."""
 
@@ -73,9 +73,9 @@ class RdramChannel(Component):
     def access(self, addr: int, is_write: bool = False,
                probe=None) -> MemAccessResult:
         """Perform one line read/write; returns its timing."""
-        now = self.now
-        self.c_accesses.inc()
-        (self.c_writes if is_write else self.c_reads).inc()
+        now = self.sim.now
+        self.c_accesses.value += 1
+        (self.c_writes if is_write else self.c_reads).value += 1
 
         device = self._device_of(addr)
         page = self._page_of(addr)
@@ -89,7 +89,7 @@ class RdramChannel(Component):
             and now <= open_info[1]
         )
         if page_hit:
-            self.c_page_hits.inc()
+            self.c_page_hits.value += 1
         access_ps = self.t_page_hit if page_hit else self.t_random
 
         # Channel occupancy: each line holds the 1.6 GB/s channel for its
@@ -98,7 +98,7 @@ class RdramChannel(Component):
         # bandwidth-limited while an unloaded access sees full latency.
         start = max(now, self._channel_free)
         if start > now:
-            self.c_queued.inc()
+            self.c_queued.value += 1
         critical = (start - now) + access_ps
         done = critical + self.t_rest
         self._channel_free = start + self.t_line_transfer
@@ -110,8 +110,7 @@ class RdramChannel(Component):
             # at its computed future time (channel queueing included)
             probe.stamp("mem_data", now + critical)
             probe.note("dram_page_hit", page_hit)
-        return MemAccessResult(critical_word_ps=critical, line_done_ps=done,
-                               page_hit=page_hit)
+        return MemAccessResult(critical, done, page_hit)
 
     def warm_access(self, addr: int, is_write: bool = False) -> bool:
         """Page-state-only access for functional warming.
@@ -199,20 +198,16 @@ class MemoryController(Component):
             label, t = probe.stamps[-1]
             if label == "mem_data":
                 probe.stamps[-1] = (label, t + self.t_overhead)
-        return MemAccessResult(
-            critical_word_ps=res.critical_word_ps + self.t_overhead,
-            line_done_ps=res.line_done_ps + self.t_overhead,
-            page_hit=res.page_hit,
-        )
+        t = self.t_overhead
+        return MemAccessResult(res.critical_word_ps + t,
+                               res.line_done_ps + t, res.page_hit)
 
     def write_line(self, addr: int) -> MemAccessResult:
         """Write a line (data and/or updated directory bits)."""
         res = self.channel.access(self._channel_addr(addr), is_write=True)
-        return MemAccessResult(
-            critical_word_ps=res.critical_word_ps + self.t_overhead,
-            line_done_ps=res.line_done_ps + self.t_overhead,
-            page_hit=res.page_hit,
-        )
+        t = self.t_overhead
+        return MemAccessResult(res.critical_word_ps + t,
+                               res.line_done_ps + t, res.page_hit)
 
     def warm_read_line(self, addr: int) -> bool:
         """Timing-free line read for functional warming: advances the

@@ -190,6 +190,14 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema"):
             validate_manifest(manifest)
 
+    def test_schema_1_refused_even_when_forced(self):
+        # schema-1 payloads queue EventHandle entries the engine can no
+        # longer fire; --force (strict=False) must not let them through
+        manifest = self._manifest(b"")
+        manifest["schema"] = 1
+        with pytest.raises(CheckpointError, match="schema 1"):
+            validate_manifest(manifest, strict=False)
+
     def test_python_mismatch_rejected(self):
         manifest = self._manifest(b"")
         manifest["python"] = "2.7"
@@ -309,9 +317,8 @@ class TestResumableSweep:
 
 
 def _pending_tickers(system):
-    return [h for _, _, h in system.sim._queue
-            if isinstance(getattr(h, "fn", None), _PeriodicTick)
-            or isinstance(h, _PeriodicTick)]
+    return [fn for _, _, fn, _ in system.sim._queue
+            if isinstance(fn, _PeriodicTick)]
 
 
 class TestPeriodicRestore:

@@ -140,3 +140,12 @@ class TestGeometry:
 
     def test_l2_sets_per_bank(self):
         assert PIRANHA_P8.l2.sets_per_bank == 256
+
+    def test_l2_bank_count_must_be_power_of_two(self):
+        from repro.core.config import L2Params
+
+        with pytest.raises(ValueError, match="power of two"):
+            L2Params(banks=6)
+        with pytest.raises(ValueError, match="power of two"):
+            L2Params(banks=0)
+        assert L2Params(banks=1).sets_per_bank == 2048

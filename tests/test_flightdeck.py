@@ -224,8 +224,8 @@ class TestHostProfiler:
         fired = []
         sim.schedule_every(100, lambda: fired.append(1) or False)
         # grab the _PeriodicTick wrapper straight from the queue
-        tick = next(handle.fn for _, _, handle in sim._queue
-                    if type(handle.fn).__name__ == "_PeriodicTick")
+        tick = next(fn for _, _, fn, _ in sim._queue
+                    if type(fn).__name__ == "_PeriodicTick")
         comp, event = event_key(tick)
         assert event.startswith("every:")
 

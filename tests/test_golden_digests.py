@@ -111,6 +111,23 @@ def test_golden_digest_parallel_jobs(monkeypatch):
         assert payload_digest(result) == golden[name]["digest"], name
 
 
+#: events the golden ``P8-oltp`` point fires (seed 2000): host-speed work
+#: on the simulator must keep every event, so this count stays exact
+P8_OLTP_EVENTS = 187_699
+
+
+def test_p8_oltp_event_count():
+    from repro.core import PiranhaSystem, preset
+    from repro.workloads import OltpWorkload
+
+    config = preset(CANONICAL["P8-oltp"][0])
+    assert OLTP_Q.seed == 2000
+    system = PiranhaSystem(config, num_nodes=1)
+    system.attach_workload(OltpWorkload(OLTP_Q, cpus_per_node=config.cpus))
+    system.run_to_completion()
+    assert system.sim.events_fired == P8_OLTP_EVENTS
+
+
 def regen() -> None:
     doc = {}
     for name in sorted(CANONICAL):

@@ -17,6 +17,7 @@ from repro.core import (
     preset,
 )
 from repro.core.messages import CacheId, MemRequest, RequestType
+from repro.harness.sweep import replace_field
 
 
 @pytest.fixture
@@ -237,3 +238,17 @@ class TestMissBreakdownAccounting:
         assert mb["l2_miss"] >= 1
         assert mb["l2_fwd"] >= 1
         assert mb["l2_hit"] >= 1
+
+
+class TestNonPowerOfTwoGeometry:
+    def test_192k_p2_bank_reaches_all_48_sets(self):
+        config = replace_field(preset("P2"), "l2.size_bytes", 192 * 1024)
+        system = PiranhaSystem(config, num_nodes=1)
+        bank = system.nodes[0].banks[0]
+        assert bank.num_sets == 48
+        banks = config.l2.banks
+        # victim-fill bank 0 with exactly its capacity of distinct lines
+        for k in range(bank.num_sets * bank.assoc):
+            bank._victim_fill((k * banks) << 6, 0, False)
+        assert all(len(s) == bank.assoc for s in bank.sets)
+        assert bank.c_l2_evictions.value == 0

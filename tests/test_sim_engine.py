@@ -64,13 +64,6 @@ class TestSimulator:
         sim.run()
         assert times == [100, 250]
 
-    def test_cancel(self, sim):
-        fired = []
-        handle = sim.schedule(100, fired.append, "x")
-        handle.cancel()
-        sim.run()
-        assert fired == []
-
     def test_cannot_schedule_into_past(self, sim):
         sim.schedule(10, lambda: None)
         sim.run()
@@ -121,71 +114,52 @@ class TestSimulator:
         assert sim.step() is False
 
 
-class TestCancellation:
-    def test_pending_excludes_cancelled(self, sim):
-        handles = [sim.schedule(10 * (i + 1), lambda: None) for i in range(5)]
+class TestQueueEntries:
+    def test_schedule_returns_nothing(self, sim):
+        assert sim.schedule(10, lambda: None) is None
+        assert sim.schedule_at(20, lambda: None) is None
+        assert sim.schedule_every(30, lambda: False) is None
+
+    def test_entry_shape_is_time_seq_fn_args(self, sim):
+        sim.schedule(10, print, "a", "b")
+        sim.schedule_at(5, print)
+        assert sorted(sim._queue) == [(5, 1, print, ()),
+                                      (10, 0, print, ("a", "b"))]
+
+    def test_pending_counts_queued_events(self, sim):
+        for i in range(5):
+            sim.schedule(10 * (i + 1), lambda: None)
         assert sim.pending == 5
-        handles[0].cancel()
-        handles[3].cancel()
+        sim.run(max_events=2)
         assert sim.pending == 3
-        assert sim.events_cancelled == 2
-
-    def test_double_cancel_counts_once(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert sim.events_cancelled == 1
-        assert sim.pending == 0
-
-    def test_cancel_after_fire_is_noop(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        sim.run()
-        handle.cancel()
         assert sim.events_cancelled == 0
+
+    def test_events_fired_accumulates_across_calls(self, sim):
+        for i in range(6):
+            sim.schedule(i + 1, lambda: None)
+        sim.run(max_events=2)
+        sim.step()
+        sim.run(until_ps=5)
+        sim.run()
+        assert sim.events_fired == 6
+
+    def test_events_fired_counts_a_raising_event(self, sim):
+        def boom():
+            raise KeyError("boom")
+
+        sim.schedule(1, lambda: None)
+        sim.schedule(2, boom)
+        with pytest.raises(KeyError):
+            sim.run()
+        assert sim.events_fired == 2
+
+    def test_halt_empties_the_queue(self, sim):
+        fired = []
+        sim.schedule(10, fired.append, 1)
+        sim.halt()
         assert sim.pending == 0
-
-    def test_compaction_drops_dead_entries(self, sim):
-        keep = []
-        handles = [sim.schedule(i + 1, keep.append, i) for i in range(200)]
-        for handle in handles[:150]:
-            handle.cancel()
-        # compaction fired once dead entries reached half the queue
-        # (at the 100th cancel), so the heap holds fewer than the 200
-        # scheduled entries, and never more than live + post-compact dead
-        assert len(sim._queue) == 100
-        assert sim.pending == 50
-        assert sim.events_cancelled == 150
         sim.run()
-        assert keep == list(range(150, 200))  # order preserved exactly
-
-    def test_compaction_preserves_fifo_at_equal_times(self, sim):
-        fired = []
-        handles = [sim.schedule(100, fired.append, i) for i in range(100)]
-        for handle in handles[:80:2]:
-            handle.cancel()
-        for handle in handles[1:80:2]:
-            handle.cancel()
-        sim.run()
-        assert fired == list(range(80, 100))
-
-    def test_cancel_during_same_timestamp_drain(self, sim):
-        fired = []
-        victim = sim.schedule(60, fired.append, "victim")
-        sim.schedule(50, victim.cancel)
-        sim.schedule(60, fired.append, "survivor")
-        sim.run()
-        assert fired == ["survivor"]
-        assert sim.events_cancelled == 1
-
-    def test_cancel_same_timestamp_later_event(self, sim):
-        # a callback cancels a not-yet-fired event at its own timestamp:
-        # the drain loop must skip the dead entry
-        fired = []
-        sim.schedule(50, lambda: victim.cancel())
-        victim = sim.schedule(50, fired.append, "victim")
-        sim.schedule(50, fired.append, "survivor")
-        sim.run()
-        assert fired == ["survivor"]
+        assert fired == []
 
 
 class TestRunBounds:
@@ -222,15 +196,6 @@ class TestRunBounds:
         assert fired == [0, 1, 2]
         assert sim.now == 35
 
-    def test_cancelled_events_do_not_count_toward_max(self, sim):
-        fired = []
-        handle = sim.schedule(10, fired.append, "dead")
-        sim.schedule(20, fired.append, "a")
-        sim.schedule(30, fired.append, "b")
-        handle.cancel()
-        sim.run(max_events=2)
-        assert fired == ["a", "b"]
-
     def test_same_timestamp_rescheduling_stays_fifo(self, sim):
         fired = []
 
@@ -262,3 +227,75 @@ class TestComponent:
         comp.schedule(123, lambda: seen.append(comp.now))
         sim.run()
         assert seen == [123]
+
+
+class TestLoopEquivalence:
+    """Every dispatch loop fires the same events, at the same times, in
+    the same order, on a real (small) machine."""
+
+    @staticmethod
+    def _system():
+        from repro.core import PiranhaSystem, preset
+        from repro.workloads import OltpParams, OltpWorkload
+
+        config = preset("P2")
+        system = PiranhaSystem(config, num_nodes=1)
+        system.attach_workload(OltpWorkload(
+            OltpParams(transactions=3, warmup_transactions=2),
+            cpus_per_node=config.cpus))
+        return system
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Log ``(time, seq, callback)`` of every entry the engine pops."""
+        from repro.sim import engine
+
+        fired = []
+        real_pop = engine.heappop
+
+        def pop(queue):
+            time_ps, seq, fn, _args = entry = real_pop(queue)
+            owner = getattr(getattr(fn, "__self__", None), "name", None)
+            name = getattr(fn, "__qualname__", type(fn).__name__)
+            fired.append((time_ps, seq, owner, name))
+            return entry
+
+        monkeypatch.setattr(engine, "heappop", pop)
+        return fired
+
+    def _fire(self, monkeypatch, drive):
+        system = self._system()
+        fired = self._record(monkeypatch)
+        system.start()
+        drive(system.sim)
+        monkeypatch.undo()
+        assert system.sim.pending == 0
+        assert all(cpu.finished for cpu in system.all_cpus())
+        assert system.sim.events_fired == len(fired)
+        return fired, system.execution_summary()
+
+    def test_all_loops_fire_the_same_sequence(self, monkeypatch):
+        from repro.observe.hostprof import HostProfiler
+
+        def drain(sim):
+            sim.run()
+
+        def bounded(sim):
+            while sim.pending:
+                sim.run(max_events=7)
+                sim.run(until_ps=sim.now + 40_000)
+
+        def stepped(sim):
+            while sim.step():
+                pass
+
+        def profiled(sim):
+            sim.profiler = HostProfiler(rate=3)
+            sim.run()
+
+        reference, summary = self._fire(monkeypatch, drain)
+        assert len(reference) > 1000
+        for drive in (bounded, stepped, profiled):
+            fired, other = self._fire(monkeypatch, drive)
+            assert fired == reference, drive.__name__
+            assert other == summary, drive.__name__
