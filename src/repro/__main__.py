@@ -236,6 +236,17 @@ def _bisect_run_violation(checkpointer, args: argparse.Namespace) -> None:
         print("  " + line)
 
 
+def _print_audit_ok(telemetry) -> None:
+    """The ``--check`` success line, from :meth:`PiranhaSystem.verify`'s
+    audit telemetry."""
+    audits = int(telemetry.get("audit_continuous_runs", 0))
+    print(f"protocol sanitizer audit: OK "
+          f"({audits} continuous audits, "
+          f"{int(telemetry.get('audit_tsrf_entries', 0))} TSRF entries, "
+          f"{int(telemetry.get('audit_dir_holdings', 0))} directory "
+          f"holdings verified)")
+
+
 def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
     """``run --sampled``: SMARTS-style sampled simulation of the point."""
     import time
@@ -253,10 +264,20 @@ def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
     t0 = time.time()
     run = SampledRun(system, window=window, period=period,
                      warming=args.warming, telemetry=stream)
-    run.run()
-    result = run.to_result(config, args.nodes,
-                           UNITS_ATTR.get(args.workload, "transactions"),
-                           wall=time.time() - t0)
+    try:
+        run.run()
+        # with a checker attached, to_result runs the sanitizer audit
+        result = run.to_result(config, args.nodes,
+                               UNITS_ATTR.get(args.workload, "transactions"),
+                               wall=time.time() - t0)
+    except AssertionError as exc:
+        # CoherenceViolation from the sanitizer (mid-run audit or the
+        # final verify); with --trace the message carries the line's
+        # protocol history
+        print(f"VIOLATION: {exc}")
+        return 1
+    if run.system.checker is not None:
+        _print_audit_ok(result.extras)
     sampling = result.extras["sampling"]
     print(f"\nwindows        : {sampling['windows']} x {window} items/CPU "
           f"(measured {sampling['measured_items']:,} items, "
@@ -309,12 +330,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _bisect_run_violation(checkpointer, args)
         return 1
     if telemetry is not None:
-        audits = int(telemetry.get("audit_continuous_runs", 0))
-        print(f"protocol sanitizer audit: OK "
-              f"({audits} continuous audits, "
-              f"{int(telemetry.get('audit_tsrf_entries', 0))} TSRF entries, "
-              f"{int(telemetry.get('audit_dir_holdings', 0))} directory "
-              f"holdings verified)")
+        _print_audit_ok(telemetry)
     summary = system.execution_summary()
     total = summary["total_ps"] or 1
     print(f"\nsimulated time : {finish / 1e6:.1f} us")

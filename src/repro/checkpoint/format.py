@@ -57,7 +57,8 @@ MAGIC = b"RPCKPT01"
 #: payload contains).  Bump on incompatible change.
 #: 2: event-queue entries are ``(time, seq, fn, args)`` tuples (schema 1
 #: queued ``(time, seq, EventHandle)``).
-SCHEMA = 2
+#: 3: L2 banks carry ``_multi_node``, fixed at build time.
+SCHEMA = 3
 
 _LEN = struct.Struct(">I")
 

@@ -55,7 +55,7 @@ class PiranhaChip(Component):
         self.ics = IntraChipSwitch(sim, f"{self.name}.ics", config)
         self.banks: List[L2Bank] = []
         #: bank steering mask (L2Params guarantees a power-of-two count)
-        self._bank_mask = config.l2.banks - 1
+        self.bank_mask = config.l2.banks - 1
         self.mcs: List[MemoryController] = []
         for b in range(config.l2.banks):
             self.banks.append(
@@ -140,7 +140,7 @@ class PiranhaChip(Component):
 
     def bank_for(self, addr: int) -> L2Bank:
         """The L2 bank *addr* interleaves to (low line-address bits)."""
-        return self.banks[(addr >> LINE_SHIFT) & self._bank_mask]
+        return self.banks[(addr >> LINE_SHIFT) & self.bank_mask]
 
     def mc_for_bank(self, bank_idx: int) -> MemoryController:
         """The memory controller paired with one L2 bank."""
@@ -176,7 +176,7 @@ class PiranhaChip(Component):
     def issue_miss(self, req: MemRequest, reqtype: RequestType) -> None:
         """An L1 miss leaves the CPU: charge miss detection plus the ICS
         crossing, then hand to the owning L2 bank."""
-        bank = self.banks[(req.addr >> LINE_SHIFT) & self._bank_mask]
+        bank = self.banks[(req.addr >> LINE_SHIFT) & self.bank_mask]
         if self.probes is not None and req.probe is None:
             req.probe = self.probes.maybe_attach(
                 req.txn_id, req.cpu_id, self.node_id, reqtype, self.sim.now)
@@ -192,7 +192,8 @@ class PiranhaChip(Component):
     def route_l1_eviction(self, cache_id: int, eviction) -> None:
         """Replacement notifications travel to the *victim's* bank (which
         may differ from the bank that triggered the fill)."""
-        self.bank_for(eviction.addr).l1_eviction(cache_id, eviction)
+        self.banks[(eviction.addr >> LINE_SHIFT)
+                   & self.bank_mask].l1_eviction(cache_id, eviction)
 
     def mem_write_back(self, line: int, version: int, bank_idx: int) -> None:
         """Dirty L2 victim with a local home: write straight to memory."""

@@ -37,7 +37,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..mem.addr import LINE_BYTES, LINE_SHIFT, line_addr
+from ..mem.addr import LINE_MASK, LINE_SHIFT
 from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig
 from .directory import DirectoryEntry, DirState
@@ -52,8 +52,6 @@ from .messages import (
     RequestType,
 )
 
-#: ``line_addr`` as a mask, for the inlined copies on the request path
-_LINE_MASK = ~(LINE_BYTES - 1)
 #: Enum members read on the per-miss path, bound once as module globals:
 #: reading a member off its Enum class costs about ten global lookups on
 #: CPython 3.11 (the Enum metaclass defeats the attribute cache).
@@ -125,6 +123,8 @@ class L2Bank(Component):
         self.dup = DuplicateTags(bank_idx)
         self.pending: Dict[int, PendingEntry] = {}
         self.pending_limit = p.pending_entries
+        #: fixed at build time; read on every remote-capable path
+        self._multi_node = chip.num_nodes > 1
         self.overflow: deque = deque()  # requests stalled on a full pending table
         #: write-back buffer: line -> version (valid until home acks)
         self.wb_buffer: Dict[int, int] = {}
@@ -171,7 +171,8 @@ class L2Bank(Component):
 
     def _set_of(self, line: int) -> int:
         # modulo, not a mask: a bank's set count need not be a power of
-        # two (e.g. 6-way or 192 KB geometries)
+        # two (e.g. 6-way or 192 KB geometries).  The per-miss paths
+        # inline this as ``(tag >> self._nbank_bits) % self.num_sets``.
         return ((line >> LINE_SHIFT) >> self._nbank_bits) % self.num_sets
 
     def _bank_bits(self) -> int:
@@ -186,7 +187,7 @@ class L2Bank(Component):
 
     def request(self, req: MemRequest, reqtype: RequestType) -> None:
         """Handle one L1 miss / upgrade for a line mapping to this bank."""
-        line = req.addr & _LINE_MASK
+        line = req.addr & LINE_MASK
         self.c_requests.value += 1
         if req.probe is not None:
             # re-stamped on every arrival, so conflict-serialisation wait
@@ -366,7 +367,7 @@ class L2Bank(Component):
         if self.chip.is_home(line):
             mc = self.chip.mcs[self.bank_idx]
             wants_data = reqtype != _NO_DATA_REQ
-            if not wants_data and self.chip.num_nodes == 1:
+            if not wants_data and not self._multi_node:
                 # Single node: no directory exists; grant straight away.
                 self.c_wh64_data_avoided.value += 1
                 self.schedule(self.t_ics, self._finish_local_mem, req, reqtype,
@@ -383,7 +384,7 @@ class L2Bank(Component):
 
     def _finish_local_mem(self, req: MemRequest, reqtype: RequestType,
                           line: int, mem_ps: int, skipped_dir: bool) -> None:
-        if self.chip.num_nodes == 1 or skipped_dir:
+        if not self._multi_node or skipped_dir:
             direntry = _NO_REMOTE_COPIES
         else:
             direntry = self.chip.dirstore.read(line)
@@ -506,7 +507,7 @@ class L2Bank(Component):
         writers.  (The paper's *eager exclusive replies* are about granting
         before invalidation acks return — the grant itself always flows
         through the home.)"""
-        if self.chip.num_nodes == 1 or self.chip.is_home(line):
+        if not self._multi_node or self.chip.is_home(line):
             return False
         return self.our_mode.get(line) == "S"
 
@@ -517,7 +518,7 @@ class L2Bank(Component):
         through the home engine (which re-reads the directory and gathers
         the acks).  Sound because the bank's pending entry serialises this
         line at the home for the duration of the grant."""
-        if self.chip.num_nodes == 1 or not self.chip.is_home(line):
+        if not self._multi_node or not self.chip.is_home(line):
             return
         if line not in self.remote_cached:
             return
@@ -617,112 +618,114 @@ class L2Bank(Component):
         if line in self.pending or line in self.wb_buffer:
             return None
         chip = self.chip
-        multi = chip.num_nodes > 1
+        multi = self._multi_node
         cache_id = cpu_id * 2 + (1 if is_instr else 0)
-        exclusive = reqtype != RequestType.READ
-        if exclusive and self._must_wait_for_home(line):
-            return None
-        if (exclusive and multi and chip.is_home(line)
-                and line in self.remote_cached):
-            # an eager exclusive grant here would have to drive a remote
-            # invalidation campaign through the home engine
-            return None
-        dup_e = self.dup.entries.get(line)
-        l1_owner = dup_e.owner if dup_e is not None else None
-        if l1_owner == L2_OWNER:
-            l1_owner = None
-        if l1_owner is not None and l1_owner != cache_id:
-            owner_l1 = chip.l1_by_id(l1_owner)
-            owner_line = owner_l1.peek(line)
-            if owner_line is None:
+        if multi and reqtype != _READ:
+            if self._must_wait_for_home(line):
                 return None
-            self.c_requests.value += 1
-            self.c_fwds.value += 1
-            version = owner_line.version
-            dirty = owner_line.dirty
-            if reqtype == RequestType.READ:
-                owner_l1.downgrade(line)
-                owner_l1.set_owner(line, False)
-                if chip.checker is not None:
-                    chip.checker.on_downgrade(chip.node_id, l1_owner, line)
-                # dirtiness travels with ownership (see _finish_fwd)
-                owner_line.dirty = False
-                if l1_owner in dup_e.sharers:
-                    dup_e.states[l1_owner] = MESI.SHARED
-                dup_e.owner = None
-                self._warm_fill(cache_id, line, MESI.SHARED, True,
-                                version, dirty, ReplySource.L2_FWD)
-            else:
-                self._warm_fill(cache_id, line, MESI.MODIFIED, True,
-                                version + 1, True, ReplySource.L2_FWD)
-            return ReplySource.L2_FWD
-        if dup_e is not None and cache_id in dup_e.sharers:
-            own = chip.l1_by_id(cache_id).peek(line)
-            if own is not None:
+            if chip.is_home(line) and line in self.remote_cached:
+                # an eager exclusive grant here would have to drive a
+                # remote invalidation campaign through the home engine
+                return None
+        dup_e = self.dup.entries.get(line)
+        if dup_e is not None:
+            l1_owner = dup_e.owner
+            if (l1_owner is not None and l1_owner != L2_OWNER
+                    and l1_owner != cache_id):
+                owner_line = chip.l1_by_id(l1_owner).peek(line)
+                if owner_line is None:
+                    return None
                 self.c_requests.value += 1
-                if reqtype == RequestType.READ:
-                    self._warm_fill(cache_id, line, own.state,
-                                    own.owner, own.version, own.dirty,
-                                    ReplySource.L2_HIT)
+                self.c_fwds.value += 1
+                version = owner_line.version
+                dirty = owner_line.dirty
+                if reqtype == _READ:
+                    # downgrade + ownership hand-off, on the line peek()
+                    # returned (see _finish_fwd)
+                    owner_line.state = _SHARED
+                    owner_line.owner = False
+                    checker = chip.checker
+                    if checker is not None:
+                        checker.on_downgrade(chip.node_id, l1_owner, line)
+                    # dirtiness travels with ownership
+                    owner_line.dirty = False
+                    if l1_owner in dup_e.sharers:
+                        dup_e.states[l1_owner] = _SHARED
+                    dup_e.owner = None
+                    self._warm_fill(cache_id, line, _SHARED, True,
+                                    version, dirty, _L2_FWD)
                 else:
-                    self.c_upgrades.value += 1
-                    self._warm_fill(cache_id, line, MESI.MODIFIED,
-                                    True, own.version + 1, True,
-                                    ReplySource.L2_HIT)
-                return ReplySource.L2_HIT
+                    self._warm_fill(cache_id, line, _MODIFIED, True,
+                                    version + 1, True, _L2_FWD)
+                return _L2_FWD
+            if cache_id in dup_e.sharers:
+                own = chip.l1_by_id(cache_id).peek(line)
+                if own is not None:
+                    self.c_requests.value += 1
+                    if reqtype == _READ:
+                        self._warm_fill(cache_id, line, own.state,
+                                        own.owner, own.version, own.dirty,
+                                        _L2_HIT)
+                    else:
+                        self.c_upgrades.value += 1
+                        self._warm_fill(cache_id, line, _MODIFIED,
+                                        True, own.version + 1, True,
+                                        _L2_HIT)
+                    return _L2_HIT
         tag = line >> LINE_SHIFT
-        l2line = self.sets[(tag >> self._nbank_bits) % self.num_sets].get(tag)
+        lset = self.sets[(tag >> self._nbank_bits) % self.num_sets]
+        l2line = lset.get(tag)
         if l2line is not None:
             self.c_requests.value += 1
             self.c_hits.value += 1
             version = l2line.version
-            others = (dup_e is not None
-                      and bool(dup_e.sharers - {cache_id}))
-            if reqtype == RequestType.READ:
-                can_be_exclusive = (
-                    not others
-                    and line not in self.remote_cached
-                    and self.our_mode.get(line) != "S"
-                )
-                if can_be_exclusive:
+            if reqtype == _READ:
+                # no on-chip copy other than (possibly) the requester's
+                # own, as in _finish_l2_hit
+                alone = (dup_e is None or not dup_e.sharers
+                         or (len(dup_e.sharers) == 1
+                             and cache_id in dup_e.sharers))
+                if (alone and line not in self.remote_cached
+                        and self.our_mode.get(line) != "S"):
                     if not self.inclusive:
-                        self._drop_l2_copy(line, l2line)
-                    self._warm_fill(cache_id, line, MESI.EXCLUSIVE,
-                                    True, version, l2line.dirty,
-                                    ReplySource.L2_HIT)
+                        # _drop_l2_copy, on the entries already in hand
+                        del lset[tag]
+                        if dup_e is not None and dup_e.owner == L2_OWNER:
+                            dup_e.owner = None
+                    self._warm_fill(cache_id, line, _EXCLUSIVE, True,
+                                    version, l2line.dirty, _L2_HIT)
                 else:
                     self.dup.set_l2_owner(line)
-                    self._warm_fill(cache_id, line, MESI.SHARED,
-                                    False, version, False,
-                                    ReplySource.L2_HIT)
+                    self._warm_fill(cache_id, line, _SHARED, False,
+                                    version, False, _L2_HIT)
             else:
-                self._warm_fill(cache_id, line, MESI.MODIFIED, True,
-                                version + 1, True, ReplySource.L2_HIT)
-            return ReplySource.L2_HIT
+                self._warm_fill(cache_id, line, _MODIFIED, True,
+                                version + 1, True, _L2_HIT)
+            return _L2_HIT
         # L2 miss: only home-local, remotely-uncached lines can be filled
         # without engine involvement.
-        if reqtype == RequestType.EXCLUSIVE:
-            reqtype = RequestType.READ_EXCLUSIVE
+        if reqtype == _UPGRADE_REQ:
+            reqtype = _READ_EXCLUSIVE
         if multi:
             if not chip.is_home(line):
                 return None
-            if chip.dirstore.read(line).state != DirState.UNCACHED:
+            if chip.dirstore.read(line).state != _DIR_UNCACHED:
                 return None
         self.c_requests.value += 1
-        wants_data = reqtype != RequestType.EXCLUSIVE_NO_DATA
+        wants_data = reqtype != _NO_DATA_REQ
         if not wants_data:
             self.c_wh64_data_avoided.value += 1
         if wants_data or multi:
-            chip.mc_for_bank(self.bank_idx).warm_read_line(line)
+            chip.mcs[self.bank_idx].warm_read_line(line)
         version = chip.mem_version(line)
         self.c_local_mem.value += 1
-        if reqtype == RequestType.READ:
-            self._warm_fill(cache_id, line, MESI.EXCLUSIVE, True,
-                            version, False, ReplySource.LOCAL_MEM)
+        if reqtype == _READ:
+            self._warm_fill(cache_id, line, _EXCLUSIVE, True,
+                            version, False, _LOCAL_MEM)
         else:
-            self._warm_fill(cache_id, line, MESI.MODIFIED, True,
-                            version + 1, True, ReplySource.LOCAL_MEM)
-        return ReplySource.LOCAL_MEM
+            self._warm_fill(cache_id, line, _MODIFIED, True,
+                            version + 1, True, _LOCAL_MEM)
+        return _LOCAL_MEM
 
     def _warm_fill(self, cache_id: int, line: int, state: MESI,
                    owner: bool, version: int, dirty: bool,
@@ -738,16 +741,21 @@ class L2Bank(Component):
         if self.inclusive and source in MEMORY_SOURCES:
             self._victim_fill(line, version, False)
         if state in _EXCLUSIVE_STATES:
-            self._invalidate_on_chip(line, except_cache=cache_id)
+            self._invalidate_on_chip(line, cache_id)
             if not self.inclusive:
-                self._drop_l2_copy(line, self._l2_line(line))
-        l1 = chip.l1_of(cache_id >> 1, bool(cache_id & 1))
-        evicted = l1.fill(line, state, owner=owner, version=version,
-                          dirty=dirty)
-        self.dup.add_sharer(line, cache_id, state, make_owner=owner)
-        if chip.checker is not None:
-            chip.checker.on_fill(chip.node_id, cache_id, line,
-                                 state, version)
+                # _drop_l2_copy(line, self._l2_line(line)), one lookup
+                tag = line >> LINE_SHIFT
+                if self.sets[(tag >> self._nbank_bits)
+                             % self.num_sets].pop(tag, None) is not None:
+                    e = self.dup.entries.get(line)
+                    if e is not None and e.owner == L2_OWNER:
+                        e.owner = None
+        evicted = chip.l1_by_id(cache_id).fill(line, state, owner,
+                                               version, dirty)
+        self.dup.add_sharer(line, cache_id, state, owner)
+        checker = chip.checker
+        if checker is not None:
+            checker.on_fill(chip.node_id, cache_id, line, state, version)
         if evicted is not None:
             chip.route_l1_eviction(cache_id, evicted)
 
@@ -757,28 +765,33 @@ class L2Bank(Component):
 
     def l1_eviction(self, cache_id: int, ev: Eviction) -> None:
         """An L1 replaced a line that maps to this bank."""
-        line = line_addr(ev.addr)
-        self.dup.remove_sharer(line, cache_id)
-        if self.chip.checker is not None:
+        line = ev.addr & LINE_MASK
+        dup = self.dup
+        dup.remove_sharer(line, cache_id)
+        chip = self.chip
+        checker = chip.checker
+        if checker is not None:
             # the holder is gone (its data may live on in the L2)
-            self.chip.checker.on_invalidate(self.chip.node_id, cache_id, line)
+            checker.on_invalidate(chip.node_id, cache_id, line)
         if not ev.owner:
             if self.inclusive and ev.dirty:
                 self._victim_fill(line, ev.version, True)
             self.c_l1_evict_clean.value += 1
-            e = self.dup.entry(line)
-            if e is None and self._l2_line(line) is None:
-                self._line_left_chip(line)
+            if line not in dup.entries:
+                tag = line >> LINE_SHIFT
+                if tag not in self.sets[(tag >> self._nbank_bits)
+                                        % self.num_sets]:
+                    self._line_left_chip(line)
             return
         # Owner replacement: write the line back into the L2 (victim fill)
         # even when clean — this is what makes the L2 a victim cache.
         self.c_l1_wb_owner.value += 1
         self._victim_fill(line, ev.version, ev.dirty)
-        self.dup.set_l2_owner(line)
+        dup.set_l2_owner(line)
 
     def _victim_fill(self, line: int, version: int, dirty: bool) -> None:
-        lset = self.sets[self._set_of(line)]
         tag = line >> LINE_SHIFT
+        lset = self.sets[(tag >> self._nbank_bits) % self.num_sets]
         existing = lset.get(tag)
         if existing is not None:
             existing.version = max(existing.version, version)

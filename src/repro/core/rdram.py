@@ -122,21 +122,24 @@ class RdramChannel(Component):
         detailed window with a phantom queue.  Returns the page-hit
         outcome.
         """
-        now = self.now
-        self.c_accesses.inc()
-        (self.c_writes if is_write else self.c_reads).inc()
-        device = self._device_of(addr)
-        page = self._page_of(addr)
-        bank = (page // self.mem.rdram_per_channel) % self.mem.banks_per_device
-        open_info = self._open_pages.get((device, bank))
+        now = self.sim.now
+        self.c_accesses.value += 1
+        (self.c_writes if is_write else self.c_reads).value += 1
+        mem = self.mem
+        # _page_of, then _device_of from the page
+        page = addr // mem.page_bytes
+        per_channel = mem.rdram_per_channel
+        key = (page % per_channel,
+               (page // per_channel) % mem.banks_per_device)
+        open_info = self._open_pages.get(key)
         page_hit = (
             open_info is not None
             and open_info[0] == page
             and now <= open_info[1]
         )
         if page_hit:
-            self.c_page_hits.inc()
-        self._open_pages[(device, bank)] = (page, now + self.keep_open_ps)
+            self.c_page_hits.value += 1
+        self._open_pages[key] = (page, now + self.keep_open_ps)
         return page_hit
 
     def forgive_backlog(self) -> None:

@@ -11,28 +11,29 @@ point is that a detailed measurement window opened right after a
 fast-forward phase sees the L1s, L2, duplicate tags, directory and DRAM
 row buffers in the state a monolithic run would have left them.
 
-Batches are pulled as flat per-CPU reference-stream chunks so the
-instruction accounting vectorises (numpy when available, plain Python
-otherwise); the cache mutations themselves are inherently sequential.
+Streams are pulled in per-CPU batches (:meth:`WorkloadThread.take
+<repro.workloads.base.WorkloadThread.take>`), one call per chunk rather
+than one per item; the cache mutations themselves are inherently
+sequential.  The per-item loop follows the DESIGN.md §4m rules: no
+per-item call layer, Enum members bound once, counters kept in locals.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
-from ..core.cpu import WARMUP_DONE
 from ..core.messages import AccessKind, request_for
-from ..mem.addr import line_addr
-
-try:  # numpy is optional: aggregation falls back to pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from ..mem.addr import LINE_MASK, LINE_SHIFT
 
 #: work items pulled from a thread per batch during fast-forward periods
 CHUNK_ITEMS = 2048
+
+_MEMBAR, _IFETCH, _WH64 = AccessKind.MEMBAR, AccessKind.IFETCH, AccessKind.WH64
+#: an item's instruction count
+_instructions = itemgetter(0)
 
 
 class FunctionalWarmer:
@@ -87,41 +88,34 @@ class FunctionalWarmer:
         ``(buffered_items, consumed, hit_boundary, exhausted)``.
         """
         thread = cpu.thread
-        consumed = 0
         hit_boundary = False
         exhausted = False
         buf = deque(maxlen=tail)
         if stop_at_boundary:
-            instructions = 0
-            for item in thread:
-                consumed += 1
-                if item[1] is None and item[2] == WARMUP_DONE:
-                    hit_boundary = True
-                    break
-                instructions += item[0]
-                buf.append(item)
+            items, hit_boundary = thread.take_through_warmup()
+            consumed = len(items)
+            if hit_boundary:
+                items.pop()  # the sentinel is never buffered
             else:
                 exhausted = True
-            self.instructions += instructions
+            self.instructions += sum(map(_instructions, items))
+            buf.extend(items)
         else:
+            consumed = 0
+            take = thread.take
             remaining = int(max_items) if max_items is not None else -1
             while remaining:
                 want = CHUNK_ITEMS if remaining < 0 else min(CHUNK_ITEMS,
                                                              remaining)
-                batch = list(islice(thread, want))
-                if not batch:
-                    exhausted = True
-                    break
+                batch = take(want)
                 consumed += len(batch)
                 if remaining > 0:
                     remaining -= len(batch)
-                if _np is not None:
-                    self.instructions += int(_np.fromiter(
-                        (it[0] for it in batch), dtype=_np.int64,
-                        count=len(batch)).sum())
-                else:
-                    self.instructions += sum(it[0] for it in batch)
+                self.instructions += sum(map(_instructions, batch))
                 buf.extend(batch)
+                if len(batch) < want:
+                    exhausted = True
+                    break
         self.items += consumed
         self.skimmed += consumed - len(buf)
         return buf, consumed, hit_boundary, exhausted
@@ -138,21 +132,56 @@ class FunctionalWarmer:
         work = []
         for cpu, items in buffers:
             chip = cpu.chip
-            work.append((chip, cpu, chip.l1_of(cpu.cpu_id, True),
-                         chip.l1_of(cpu.cpu_id, False), iter(items)))
-        apply = self._apply
-        while work:
-            still = []
-            for entry in work:
-                chip, cpu, l1i, l1d, it = entry
-                n = 0
-                for item in it:
-                    apply(chip, cpu, l1i, l1d, item)
-                    n += 1
-                    if n >= batch:
+            work.append((cpu, chip.banks, chip.bank_mask,
+                         chip.l1_of(cpu.cpu_id, True).lookup,
+                         chip.l1_of(cpu.cpu_id, False).lookup, iter(items)))
+        refs = l1_hits = warmed = skipped = membars = 0
+        try:
+            while work:
+                still = []
+                for entry in work:
+                    cpu, banks, bank_mask, lookup_i, lookup_d, it = entry
+                    cpu_id = cpu.cpu_id
+                    tlbs = cpu.tlb_refill_ps
+                    n = 0
+                    for _instrs, kind, addr, _dep in islice(it, batch):
+                        n += 1
+                        if kind is None:
+                            continue
+                        if kind == _MEMBAR:
+                            # no eager-grant acks can be outstanding
+                            # between events, so a fence is an instant
+                            # no-op here; keep its counter moving
+                            membars += 1
+                            cpu.c_membar.value += 1
+                            continue
+                        refs += 1
+                        is_instr = kind == _IFETCH
+                        if tlbs:
+                            (cpu.itlb if is_instr else cpu.dtlb).lookup(addr)
+                        result = (lookup_i if is_instr
+                                  else lookup_d)(addr, kind)
+                        if result.hit:
+                            l1_hits += 1
+                            continue
+                        if kind == _WH64:
+                            cpu.c_wh64.value += 1
+                        bank = banks[(addr >> LINE_SHIFT) & bank_mask]
+                        if bank.warm_request(cpu_id, is_instr,
+                                             request_for(kind, result.state),
+                                             addr & LINE_MASK) is None:
+                            skipped += 1
+                        else:
+                            warmed += 1
+                    if n == batch:
                         still.append(entry)
-                        break
-            work = still
+                work = still
+        finally:
+            self.refs += refs
+            self.l1_hits += l1_hits
+            self.warmed += warmed
+            self.skipped += skipped
+            self.membars += membars
 
     def advance(self, cpu, max_items: Optional[int] = None,
                 stop_at_boundary: bool = False,
@@ -162,34 +191,3 @@ class FunctionalWarmer:
             cpu, max_items, stop_at_boundary, tail)
         self.apply_interleaved([(cpu, buf)])
         return consumed, hit_boundary, exhausted
-
-    def _apply(self, chip, cpu, l1i, l1d, item) -> None:
-        """Apply one work item's cache effects (no time, no events)."""
-        _instrs, kind, addr, _dep = item
-        if kind is None:
-            return
-        if kind == AccessKind.MEMBAR:
-            # no eager-grant acks can be outstanding between events, so a
-            # fence is an instant no-op here; keep its counter moving
-            self.membars += 1
-            cpu.c_membar.inc()
-            return
-        self.refs += 1
-        is_instr = kind == AccessKind.IFETCH
-        if cpu.tlb_refill_ps:
-            tlb = cpu.itlb if is_instr else cpu.dtlb
-            tlb.lookup(addr)
-        l1 = l1i if is_instr else l1d
-        result = l1.lookup(addr, kind)
-        if result.hit:
-            self.l1_hits += 1
-            return
-        if kind == AccessKind.WH64:
-            cpu.c_wh64.inc()
-        reqtype = request_for(kind, result.state)
-        line = line_addr(addr)
-        if chip.bank_for(addr).warm_request(
-                cpu.cpu_id, is_instr, reqtype, line) is None:
-            self.skipped += 1
-        else:
-            self.warmed += 1

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 LINE_BYTES = 64
 LINE_SHIFT = 6
 assert (1 << LINE_SHIFT) == LINE_BYTES
+#: ``addr & LINE_MASK`` is :func:`line_addr`, for call-free hot paths
+LINE_MASK = ~(LINE_BYTES - 1)
 
 
 def line_addr(addr: int) -> int:
     """Align *addr* down to its cache-line base address."""
-    return addr & ~(LINE_BYTES - 1)
+    return addr & LINE_MASK
 
 
 def line_index(addr: int) -> int:

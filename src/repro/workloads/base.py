@@ -26,12 +26,17 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
+from ..core.cpu import WARMUP_DONE
 from ..core.messages import AccessKind
 from ..sim.rng import substream
 
 LINE = 64
+#: bound once: reading a member off its Enum class costs about ten
+#: global lookups on CPython 3.11
+_IFETCH = AccessKind.IFETCH
 
 WorkItem = Tuple[int, Optional[AccessKind], int, bool]
 
@@ -83,6 +88,42 @@ class WorkloadThread:
             raise
         self.emitted += 1
         return item
+
+    def take(self, n: int) -> List[WorkItem]:
+        """The next *n* items as a list, fewer only at the end of the
+        stream.  Same items, ``emitted`` count and exhausted flag as *n*
+        ``__next__`` calls, with no per-item wrapper frame: batch
+        consumers (functional warming) pull whole chunks."""
+        batch = list(islice(self._stream(), n))
+        self.emitted += len(batch)
+        if len(batch) < n:
+            self._exhausted = True
+        return batch
+
+    def take_through_warmup(self) -> Tuple[List[WorkItem], bool]:
+        """Items up to and including the warm-up sentinel, or the rest
+        of the stream when it has none.  Returns ``(items,
+        hit_sentinel)``; like :meth:`take`, equivalent to the
+        ``__next__`` calls it replaces."""
+        items: List[WorkItem] = []
+        append = items.append
+        hit = False
+        for item in self._stream():
+            append(item)
+            if item[1] is None and item[2] == WARMUP_DONE:
+                hit = True
+                break
+        else:
+            self._exhausted = True
+        self.emitted += len(items)
+        return items, hit
+
+    def _stream(self) -> Iterator[WorkItem]:
+        """The live generator, rebuilt after a restore; empty once the
+        stream is exhausted."""
+        if self._gen is not None:
+            return self._gen
+        return iter(()) if self._exhausted else self._rebuild()
 
     def _rebuild(self) -> Iterator[WorkItem]:
         """Regenerate and fast-forward the stream after a restore."""
@@ -243,12 +284,11 @@ class CodeWalk:
         """One basic-block run: a list of IFETCH work items."""
         rank = self.sampler.sample(self.rng.random())
         start = self._perm[rank] * self.run_lines
-        items = []
-        for i in range(self.run_lines):
-            line = (start + i) % self.region.lines
-            items.append((self.instrs_per_line, AccessKind.IFETCH,
-                          self.region.line_addr(line), True))
-        return items
+        lines = self.region.lines
+        line_addr = self.region.line_addr
+        instrs = self.instrs_per_line
+        return [(instrs, _IFETCH, line_addr((start + i) % lines), True)
+                for i in range(self.run_lines)]
 
 
 def interleave_code_and_data(

@@ -30,6 +30,10 @@ from ..core.messages import AccessKind
 from ..sim.rng import substream
 from .base import AddressSpaceBuilder, Workload, WorkloadThread
 
+#: bound once: reading a member off its Enum class costs about ten
+#: global lookups on CPython 3.11
+_LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
+
 
 @dataclass(frozen=True)
 class DssParams:
@@ -97,26 +101,31 @@ class DssWorkload(Workload):
             chunks = 8
             instrs_per_chunk = p.instrs_per_row // chunks
             total_rows = p.rows + p.warmup_rows
+            random = rng.random
+            dependent_fraction = p.dependent_fraction
+            table_addr = self.table.line_addr
+            code_addr = self.code.line_addr
+            agg_addr = self.agg.line_addr
             for row in range(total_rows):
                 if row == p.warmup_rows:
                     yield (0, None, WARMUP_DONE, True)
                 # row fetch: sequential lines, overlappable (streaming)
                 for i in range(p.lines_per_row):
                     line = part_base + (cursor + i) % p.partition_lines
-                    dep = rng.random() < p.dependent_fraction
-                    yield (4, AccessKind.LOAD, self.table.line_addr(line), dep)
+                    dep = random() < dependent_fraction
+                    yield (4, _LOAD, table_addr(line), dep)
                 cursor = (cursor + p.lines_per_row) % p.partition_lines
                 # per-row executor work over the scan loop's code lines
                 for c in range(chunks):
                     code_line = (row * chunks + c) % p.code_lines
-                    yield (instrs_per_chunk, AccessKind.IFETCH,
-                           self.code.line_addr(code_line), True)
+                    yield (instrs_per_chunk, _IFETCH, code_addr(code_line),
+                           True)
                 # aggregation state update (private, hits)
-                yield (6, AccessKind.STORE,
-                       self.agg.line_addr(agg_base + row % p.agg_lines), True)
+                yield (6, _STORE, agg_addr(agg_base + row % p.agg_lines),
+                       True)
                 # periodic result-buffer merge (the only sharing)
                 if row % 64 == 63:
-                    yield (20, AccessKind.STORE,
+                    yield (20, _STORE,
                            self.result.line_addr(global_cpu % p.result_lines),
                            True)
 

@@ -41,6 +41,10 @@ from .base import (
     interleave_code_and_data,
 )
 
+#: bound once: reading a member off its Enum class costs about ten
+#: global lookups on CPython 3.11
+_LOAD, _STORE, _WH64 = AccessKind.LOAD, AccessKind.STORE, AccessKind.WH64
+
 
 @dataclass(frozen=True)
 class OltpParams:
@@ -176,76 +180,64 @@ class OltpWorkload(Workload):
 
     def _data_ops(self, rng, meta_sampler: ZipfSampler, proc_base: dict,
                   txn_index: int, node: int) -> List[Tuple[int, AccessKind, int, bool]]:
-        """The data references of one TPC-B transaction, in order."""
+        """The data references of one TPC-B transaction, in order.
+
+        Every draw below is one of ``rng``'s, in a fixed order: a
+        "local" test (``multi and random() < loc``) draws only on
+        multi-node systems, and a reference's dependence flag
+        (``random() >= indep``) is drawn after its address."""
         p = self.params
         multi = self.num_nodes > 1
         loc = p.numa_locality
-        ops: List[Tuple[int, AccessKind, int, bool]] = []
         indep = p.independent_fraction
-
-        def dep() -> bool:
-            return rng.random() >= indep
-
-        def local(prob: float = loc) -> bool:
-            return multi and rng.random() < prob
-
-        def private_ref() -> None:
-            line = proc_base["private"] + rng.randrange(p.private_lines)
-            kind = AccessKind.STORE if rng.random() < 0.4 else AccessKind.LOAD
-            ops.append((0, kind, self.private.line_addr(line), True))
-
-        def metadata_ref() -> None:
-            if local():
-                line = self.meta_shards.sample_line(rng, node)
-            else:
-                line = meta_sampler.sample(rng.random())
-            write = rng.random() < p.metadata_write_fraction
-            kind = AccessKind.STORE if write else AccessKind.LOAD
-            ops.append((0, kind, self.metadata.line_addr(line), dep()))
+        random = rng.random
+        randrange = rng.randrange
+        ops: List[Tuple[int, AccessKind, int, bool]] = []
+        append = ops.append
 
         # 0. index walk: B-tree leaf lookups (root/branch levels hit in
         #    the metadata region; leaves are effectively uniform)
+        index_addr = self.index.line_addr
         for _ in range(p.index_accesses_per_txn):
-            if local():
+            if multi and random() < loc:
                 leaf = self.index_shards.sample_line(rng, node)
             else:
                 # leaves cluster in 4 KB index blocks with mild skew
-                block = self._account_block_sampler.sample(rng.random())
+                block = self._account_block_sampler.sample(random())
                 block %= p.index_lines // p.account_block_lines
                 leaf = (block * p.account_block_lines
-                        + rng.randrange(p.account_block_lines))
-            ops.append((0, AccessKind.LOAD, self.index.line_addr(leaf), dep()))
+                        + randrange(p.account_block_lines))
+            append((0, _LOAD, index_addr(leaf), random() >= indep))
         # 1. account row: read-modify-write inside a zipf-hot 4 KB block
-        def account_line() -> int:
-            rank = self._account_block_sampler.sample(rng.random())
-            block = self._account_block_perm[rank]
-            return (block * p.account_block_lines
-                    + rng.randrange(p.account_block_lines))
-
-        if local():
+        if multi and random() < loc:
             aline = self.account_shards.sample_line(rng, node)
         else:
-            aline = account_line()
+            rank = self._account_block_sampler.sample(random())
+            block = self._account_block_perm[rank]
+            aline = (block * p.account_block_lines
+                     + randrange(p.account_block_lines))
+        account_addr = self.account.line_addr
         account_row = aline // p.account_lines_per_row
         for i in range(p.account_lines_per_row):
             line = account_row * p.account_lines_per_row + i
-            ops.append((0, AccessKind.LOAD, self.account.line_addr(line), dep()))
-        ops.append((0, AccessKind.STORE,
-                    self.account.line_addr(account_row * p.account_lines_per_row),
-                    True))
+            append((0, _LOAD, account_addr(line), random() >= indep))
+        append((0, _STORE,
+                account_addr(account_row * p.account_lines_per_row), True))
         # 2. branch row: hot, contended read-modify-write (the submitting
         #    client usually belongs to a node-local branch)
-        branch_rows = self._branch_rows[node] if local() else range(p.branches)
-        branch_row = branch_rows[rng.randrange(len(branch_rows))]
-        bline = branch_row * self.row_stride
-        ops.append((0, AccessKind.LOAD, self.branch.line_addr(bline), True))
-        ops.append((0, AccessKind.STORE, self.branch.line_addr(bline), True))
+        branch_rows = (self._branch_rows[node] if multi and random() < loc
+                       else range(p.branches))
+        branch_row = branch_rows[randrange(len(branch_rows))]
+        baddr = self.branch.line_addr(branch_row * self.row_stride)
+        append((0, _LOAD, baddr, True))
+        append((0, _STORE, baddr, True))
         # 3. teller row
-        teller_rows = self._teller_rows[node] if local() else range(p.tellers)
-        teller_row = teller_rows[rng.randrange(len(teller_rows))]
-        tline = teller_row * self.teller_stride
-        ops.append((0, AccessKind.LOAD, self.teller.line_addr(tline), True))
-        ops.append((0, AccessKind.STORE, self.teller.line_addr(tline), True))
+        teller_rows = (self._teller_rows[node] if multi and random() < loc
+                       else range(p.tellers))
+        teller_row = teller_rows[randrange(len(teller_rows))]
+        taddr = self.teller.line_addr(teller_row * self.teller_stride)
+        append((0, _LOAD, taddr, True))
+        append((0, _STORE, taddr, True))
         # 4. history append (per-process stripes out of node-local chunks;
         #    whole-line writes -> wh64)
         hcursor = proc_base["history"] + txn_index * p.history_lines_per_txn
@@ -254,19 +246,31 @@ class OltpWorkload(Workload):
                 hline = self.history_shards.local_line(node, hcursor + i)
             else:
                 hline = (hcursor + i) % self.history.lines
-            ops.append((0, AccessKind.WH64, self.history.line_addr(hline), True))
+            append((0, _WH64, self.history.line_addr(hline), True))
         # 5. redo-log append (node-local log stripe)
         lcursor = proc_base["log_cursor"] + txn_index
         if multi:
             log_line = self.log_shards.local_line(node, lcursor)
         else:
             log_line = lcursor % self.log.lines
-        ops.append((0, AccessKind.STORE, self.log.line_addr(log_line), True))
+        append((0, _STORE, self.log.line_addr(log_line), True))
         # 6. metadata + private filler, shuffled through the transaction
+        metadata_addr = self.metadata.line_addr
+        write_fraction = p.metadata_write_fraction
         for _ in range(p.metadata_accesses_per_txn):
-            metadata_ref()
+            if multi and random() < loc:
+                line = self.meta_shards.sample_line(rng, node)
+            else:
+                line = meta_sampler.sample(random())
+            kind = _STORE if random() < write_fraction else _LOAD
+            append((0, kind, metadata_addr(line), random() >= indep))
+        private_addr = self.private.line_addr
+        private_base = proc_base["private"]
+        private_lines = p.private_lines
         for _ in range(p.private_accesses_per_txn):
-            private_ref()
+            line = private_base + randrange(private_lines)
+            kind = _STORE if random() < 0.4 else _LOAD
+            append((0, kind, private_addr(line), True))
         rng.shuffle(ops)
         return ops
 
@@ -319,8 +323,8 @@ class OltpWorkload(Workload):
                     cursor = block_cursors.setdefault(slot, start)
                     for i in range(p.block_io_lines_per_txn):
                         line = (cursor + i) % p.account_lines
-                        yield (2, AccessKind.LOAD,
-                               self.account.line_addr(line), False)
+                        yield (2, _LOAD, self.account.line_addr(line),
+                               False)
                     block_cursors[slot] = (
                         cursor + p.block_io_lines_per_txn) % p.account_lines
 

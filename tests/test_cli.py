@@ -42,6 +42,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "audit: OK" in out
 
+    SAMPLED_CHECK = ["run", "--config", "P2", "--workload", "oltp",
+                     "--scale", "0.1", "--sampled", "--check"]
+
+    def test_sampled_check_prints_audit(self, capsys):
+        assert main(self.SAMPLED_CHECK) == 0
+        out = capsys.readouterr().out
+        assert "protocol sanitizer audit: OK" in out
+        assert "continuous audits" in out
+
+    def test_sampled_check_reports_violation(self, capsys, monkeypatch):
+        # an L1 line the duplicate tags do not know about: the final
+        # audit must fail as a reported violation, not a traceback
+        from repro.core.messages import MESI
+        from repro.fastforward import SampledRun
+
+        real_run = SampledRun.run
+
+        def run_then_corrupt(run):
+            windows = real_run(run)
+            run.system.nodes[0].l1d[0].fill(0x7FFF_FFC0, MESI.EXCLUSIVE,
+                                            owner=True)
+            return windows
+
+        monkeypatch.setattr(SampledRun, "run", run_then_corrupt)
+        assert main(self.SAMPLED_CHECK) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATION:" in out
+        assert "audit: OK" not in out
+
     def test_trace_subcommand_dumps_events(self, capsys):
         assert main(["trace", "--config", "P2", "--workload", "migratory",
                      "--scale", "0.2", "--last", "5"]) == 0

@@ -18,6 +18,7 @@ is tested at unit scale; cross-mode *accuracy* is characterised by
 a statistical property, not a correctness invariant.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -205,6 +206,106 @@ class TestFunctionalWarmer:
                          handoff="none")
         run._run_detailed(None, until_warm=True, record=False)
         assert lines_of(sys_f) == lines_of(run.system)
+
+
+# ---------------------------------------------------------------------------
+# warm-state pins: the machine state functional warming leaves behind
+# ---------------------------------------------------------------------------
+
+#: sha256 of :func:`_warm_state` after the functional warm-up and after
+#: one fast-forward period.  An equal payload can hide a different warm
+#: state; these pin the state itself.
+WARM_STATE_PINS = {
+    "P8": ("318794a49e3721140edac39e838c10b825ad4ba1b3581d7e07ede9d42fe010ac",
+           "ef5694b75af76de7587a83ccf01abb0f7b001712976401fb9cd29066661c4333"),
+    "P4x2": ("8cdf9d2c2ef4b361cad3e80380f777c358207d878ec35fe8e3636aad0df6162a",
+             "1d7fcd90a258e17a0cc0f91d740a12754d2607883908bfbaab9de9b9a63d7cea"),
+}
+#: warm-up span for the pins (30 txns/CPU: enough to fill the L1s and
+#: push victims through the L2) and the fast-forward period after it
+OLTP_PIN = OltpParams(transactions=8, warmup_transactions=30)
+PIN_PERIOD = 3000
+
+
+def _warm_state(system, warmer, counters) -> str:
+    """Digest every L1 line (LRU order), every L2 set (load order), the
+    duplicate tags, the partial-directory hints, each DRAM channel's
+    open-page table, memory versions, directories, *counters* (the
+    module counters, captured before any reset) and the warmer's
+    telemetry."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(repr(parts).encode())
+
+    for node in system.nodes:
+        for l1 in list(node.l1i) + list(node.l1d):
+            put("l1", l1.cpu_id, l1.is_instr, l1.counters())
+            for index, lru_set in enumerate(l1.sets):
+                for ln in lru_set.values():
+                    put(index, ln.tag, ln.state.name, ln.owner, ln.dirty,
+                        ln.version)
+        for bank in node.banks:
+            put("l2", bank.bank_idx)
+            for index, lset in enumerate(bank.sets):
+                for tag, ln in lset.items():
+                    put(index, tag, ln.tag, ln.dirty, ln.version)
+            for line in sorted(bank.dup.entries):
+                e = bank.dup.entries[line]
+                put(line, sorted(e.sharers), e.owner,
+                    sorted((c, s.name) for c, s in e.states.items()))
+            put(sorted(bank.our_mode.items()), sorted(bank.remote_cached),
+                sorted(bank.wb_buffer.items()), sorted(bank.pending))
+        for mc in node.mcs:
+            put("mc", sorted(mc.channel._open_pages.items()),
+                mc.channel._channel_free)
+        put("dir", sorted(system.dirstores[node.node_id].items()))
+    put("mem", sorted(system.mem_versions.items()))
+    put("counters", counters)
+    put("warmer", warmer.summary(), system.sim.now)
+    return h.hexdigest()
+
+
+def _module_counters(system) -> list:
+    out = []
+    for node in system.nodes:
+        for bank in node.banks:
+            out.append(bank.stats.as_dict())
+        for mc in node.mcs:
+            out.append(mc.channel.stats.as_dict())
+    return out
+
+
+def _pinned_warm_states(config_name: str, nodes: int):
+    config = preset(config_name)
+    system, _wl = build_system(config, OltpFactory(OLTP_PIN), nodes)
+    run = SampledRun(system, window=WINDOW, period=PIN_PERIOD,
+                     handoff="none")
+    # the warm-up resets the module counters at its boundary: capture
+    # them just before, as the warm path left them
+    captured = []
+    reset = system.reset_module_stats
+
+    def capture_then_reset():
+        captured.append(_module_counters(system))
+        reset()
+
+    system.reset_module_stats = capture_then_reset
+    run._functional_warm()
+    after_warm = _warm_state(system, run.warmer, captured[0])
+    run._fast_forward(PIN_PERIOD)
+    after_ff = _warm_state(system, run.warmer, _module_counters(system))
+    return after_warm, after_ff
+
+
+class TestWarmStatePins:
+    def test_p8_warm_state(self):
+        assert _pinned_warm_states("P8", 1) == WARM_STATE_PINS["P8"]
+
+    def test_p4x2_warm_state(self):
+        # two nodes: declined remote-home / remotely-cached accesses and
+        # warm-path remote write-backs drained before the clock moves
+        assert _pinned_warm_states("P4", 2) == WARM_STATE_PINS["P4x2"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.workloads import (
     TpccWorkload,
     ZipfSampler,
 )
-from repro.workloads.base import AddressSpaceBuilder, CodeWalk
+from repro.workloads.base import AddressSpaceBuilder, CodeWalk, WorkloadThread
 
 
 class TestZipfSampler:
@@ -112,6 +112,92 @@ class TestNodeShards:
         for i in range(300):
             addr = region.line_addr(shards.local_line(2, i))
             assert amap.home_of(addr) == 2
+
+
+class TestWorkloadThreadTake:
+    """Batched consumption is the same stream as item-by-item
+    ``__next__``: same items, ``emitted`` count and exhausted flag."""
+
+    PARAMS = OltpParams(transactions=2, warmup_transactions=1)
+
+    def _thread(self):
+        wl = OltpWorkload(self.PARAMS, cpus_per_node=1)
+        thread = wl.thread_for(0, 0)
+        thread.bind_source(wl, 0, 0)
+        return thread
+
+    @staticmethod
+    def _exhausted(thread) -> bool:
+        return thread.state_dict()["exhausted"]
+
+    def test_take_matches_next_with_short_final_batch(self):
+        ref = self._thread()
+        items = list(ref)
+        n = 97
+        assert len(items) % n  # the last batch comes up short
+        batched = self._thread()
+        got = []
+        while True:
+            batch = batched.take(n)
+            got.extend(batch)
+            if len(batch) < n:
+                break
+        assert got == items
+        assert batched.emitted == ref.emitted == len(items)
+        assert self._exhausted(batched) and self._exhausted(ref)
+        assert batched.take(n) == []
+        assert batched.emitted == len(items)
+
+    def test_exact_batch_leaves_exhaustion_undiscovered(self):
+        # n __next__ calls that happen to reach the end do not yet see
+        # StopIteration; neither does take(n)
+        length = len(list(self._thread()))
+        stepped = self._thread()
+        for _ in range(length):
+            next(stepped)
+        batched = self._thread()
+        assert len(batched.take(length)) == length
+        assert self._exhausted(batched) == self._exhausted(stepped) is False
+        assert batched.take(1) == []
+        assert self._exhausted(batched)
+
+    def test_take_interleaves_with_next(self):
+        items = list(self._thread())
+        thread = self._thread()
+        got = thread.take(10) + [next(thread)] + thread.take(25)
+        assert got == items[:36]
+        assert thread.emitted == 36
+
+    def test_take_through_warmup_stops_after_sentinel(self):
+        items = list(self._thread())
+        cut = next(i for i, it in enumerate(items)
+                   if it[1] is None and it[2] == WARMUP_DONE)
+        thread = self._thread()
+        got, hit = thread.take_through_warmup()
+        assert hit
+        assert got == items[:cut + 1]
+        assert thread.emitted == cut + 1
+        assert not self._exhausted(thread)
+        assert next(thread) == items[cut + 1]
+
+    def test_take_through_warmup_without_sentinel(self):
+        items = [(1, AccessKind.LOAD, 64 * i, True) for i in range(5)]
+        thread = WorkloadThread(iter(items))
+        got, hit = thread.take_through_warmup()
+        assert (got, hit) == (items, False)
+        assert thread.emitted == 5 and self._exhausted(thread)
+        assert thread.take_through_warmup() == ([], False)
+
+    def test_restore_after_take_resumes_at_next_item(self):
+        import pickle
+
+        thread = self._thread()
+        thread.take(50)
+        clone = pickle.loads(pickle.dumps(thread))
+        assert clone.emitted == 50
+        # the clone rebuilds its generator from the workload on first use
+        assert clone.take(20) == thread.take(20)
+        assert next(clone) == next(thread)
 
 
 class TestOltpWorkload:
