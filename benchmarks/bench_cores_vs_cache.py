@@ -14,8 +14,8 @@ import dataclasses
 import pytest
 
 from repro.core import preset
-from repro.harness import OltpFactory, format_table, run_jobs, scale_factor
-from repro.harness.parallel import Job
+from repro.harness import (OltpFactory, RunSpec, format_table, run_jobs,
+                           scale_factor)
 from repro.workloads import OltpParams
 
 
@@ -35,7 +35,7 @@ def sweep():
     )
     # independent points: fan out via the parallel/cached harness
     results = run_jobs([
-        Job(config=_variant_config(cpus, kb), factory=OltpFactory(params))
+        RunSpec(_variant_config(cpus, kb), OltpFactory(params))
         for cpus, kb in variants
     ])
     return {key: r.throughput for key, r in zip(variants, results)}

@@ -122,7 +122,8 @@ def bench_single_sims(scale: float) -> dict:
 
 def bench_sweep(scale: float, jobs: int, points: int) -> dict:
     """The same multi-point sweep: serial-uncached, parallel-cold, warm."""
-    from repro.harness import OltpFactory, clear_cache
+    from repro.core import preset
+    from repro.harness import OltpFactory, RunSpec, clear_cache
     from repro.harness.sweep import sweep_field
     from repro.workloads import OltpParams
 
@@ -136,8 +137,8 @@ def bench_sweep(scale: float, jobs: int, points: int) -> dict:
     def timed(jobs_n: int) -> "tuple[float, list]":
         clear_cache()
         t0 = time.perf_counter()
-        records = sweep_field("P2", factory, "l2.size_bytes", values,
-                              jobs=jobs_n)
+        records = sweep_field(RunSpec(preset("P2"), factory),
+                              "l2.size_bytes", values, jobs=jobs_n)
         return time.perf_counter() - t0, records
 
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
@@ -260,7 +261,8 @@ def bench_checkpoint(points: int = 8, jobs: int = 1) -> dict:
     ``speedup_restore`` (baseline / warm-restore) is the headline
     amortisation number for ``--resume`` and repeated measurement fans.
     """
-    from repro.harness import OltpFactory, clear_cache
+    from repro.core import preset
+    from repro.harness import OltpFactory, RunSpec, clear_cache
     from repro.harness.runner import DISK_CACHE
     from repro.harness.sweep import sweep_field
     from repro.workloads import OltpParams
@@ -275,8 +277,8 @@ def bench_checkpoint(points: int = 8, jobs: int = 1) -> dict:
         clear_cache()
         DISK_CACHE.clear()
         t0 = time.perf_counter()
-        records = sweep_field("P2", factory, "l2.size_bytes", values,
-                              jobs=jobs, warmup=warmup)
+        records = sweep_field(RunSpec(preset("P2"), factory, warmup=warmup),
+                              "l2.size_bytes", values, jobs=jobs)
         return time.perf_counter() - t0, records
 
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-ckpt-")
@@ -342,8 +344,8 @@ def bench_fastforward(scale: float) -> dict:
     """
     from repro.core import preset
     from repro.harness import OltpFactory
-    from repro.harness.runner import (SAMPLED_PERIOD, SAMPLED_WINDOW,
-                                      assemble_result, build_system, simulate)
+    from repro.harness.runner import assemble_result, build_system, simulate
+    from repro.harness.spec import SAMPLED_PERIOD, SAMPLED_WINDOW, RunSpec
     from repro.workloads import OltpParams
 
     op = OltpParams()
@@ -352,13 +354,13 @@ def bench_fastforward(scale: float) -> dict:
     factory = OltpFactory(op)
     config = preset("P8")
 
-    system, workload = build_system(config, factory, 1)
+    spec = RunSpec(config, factory)
+    system, _workload = build_system(spec)
     t0 = time.perf_counter()
     system.run_to_completion()
     detailed_s = time.perf_counter() - t0
     detailed_events = system.sim.events_fired
-    detailed = assemble_result(system, workload, config, 1, "transactions",
-                               0, 0, detailed_s)
+    detailed = assemble_result(system, spec, detailed_s)
 
     classes = ("busy_frac", "l2_frac", "mem_frac", "miss_hit_frac",
                "miss_fwd_frac", "miss_mem_frac")
@@ -369,10 +371,11 @@ def bench_fastforward(scale: float) -> dict:
     try:
         os.environ["REPRO_CACHE_DIR"] = cache_dir
         t0 = time.perf_counter()
-        cold = simulate(config, factory, mode="sampled", warmup=True)
+        sampled = spec.replace(mode="sampled", warmup=True)
+        cold = simulate(sampled)
         cold_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warm = simulate(config, factory, mode="sampled", warmup=True)
+        warm = simulate(sampled)
         warm_s = time.perf_counter() - t0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

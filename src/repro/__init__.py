@@ -49,9 +49,8 @@ from .harness import (
     figure6b,
     figure7,
     figure8,
-    run_dss,
-    run_oltp,
-    run_tpcc,
+    RunSpec,
+    run,
 )
 from .sim import Clock, Simulator
 from .workloads import (
@@ -90,9 +89,8 @@ __all__ = [
     "figure6b",
     "figure7",
     "figure8",
-    "run_dss",
-    "run_oltp",
-    "run_tpcc",
+    "RunSpec",
+    "run",
     "Clock",
     "Simulator",
     "DssParams",

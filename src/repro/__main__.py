@@ -25,9 +25,11 @@ Runs one workload on one configuration and prints the standard report::
     python -m repro floorplan
     python -m repro list
 
-Sweeps fan out across processes with ``--jobs N`` (or ``REPRO_JOBS``),
-and all harness entry points reuse the persistent result cache; see the
-README's "Performance" section.
+Every point command builds one :class:`~repro.harness.spec.RunSpec` from
+its flags, with the harness's own workload factories (``sweep`` sizes its
+workload by ``REPRO_SCALE``, else 1.0).  Sweeps fan out across processes
+with ``--jobs N`` (or ``REPRO_JOBS``), and all harness entry points reuse
+the persistent result cache; see the README's "Performance" section.
 """
 
 from __future__ import annotations
@@ -36,113 +38,115 @@ import argparse
 import sys
 
 from .area import floorplan_summary
-from .core import CoherenceChecker, PRESETS, PiranhaSystem, preset, table1
+from .core import PRESETS, preset, table1
+from .harness.experiments import FACTORIES
 from .harness.report import breakdown_bar, format_table
-from .isa.kernels import KERNEL_NAMES, KernelWorkload, scaled_params
-from .workloads import (
-    DssParams,
-    DssWorkload,
-    MicroParams,
-    MigratoryWrites,
-    OltpParams,
-    OltpWorkload,
-    TpccWorkload,
-)
-from .workloads.web import WebParams, WebWorkload
+from .harness.runner import build_system
+from .harness.spec import RunSpec, scale_factor
+from .isa.kernels import KERNEL_NAMES
 
-WORKLOADS = {
-    "oltp": lambda cpus, nodes, scale: OltpWorkload(
-        _scaled_oltp(scale), cpus_per_node=cpus, num_nodes=nodes),
-    "dss": lambda cpus, nodes, scale: DssWorkload(
-        DssParams(rows=max(40, int(260 * scale))),
-        cpus_per_node=cpus, num_nodes=nodes),
-    "tpcc": lambda cpus, nodes, scale: TpccWorkload(
-        cpus_per_node=cpus, num_nodes=nodes),
-    "web": lambda cpus, nodes, scale: WebWorkload(
-        WebParams(queries=max(40, int(150 * scale))),
-        cpus_per_node=cpus, num_nodes=nodes),
-    "migratory": lambda cpus, nodes, scale: MigratoryWrites(
-        MicroParams(iterations=max(200, int(1000 * scale))),
-        cpus_per_node=cpus, num_nodes=nodes),
-    "isa": lambda cpus, nodes, scale: KernelWorkload(
-        scaled_params("spinlock", scale),
-        cpus_per_node=cpus, num_nodes=nodes),
-}
+#: observability defaults the CLI implies: ``--metrics`` / ``report
+#: --json`` without explicit rates, ``--telemetry`` without a sampler
+DEFAULT_PROBE_RATE = 64
+DEFAULT_SAMPLE_US = 50.0
 
 
-def _scaled_oltp(scale: float) -> OltpParams:
-    return OltpParams(
-        transactions=max(20, int(80 * scale)),
-        warmup_transactions=max(40, int(150 * scale)),
-    )
+def _shared_flags(*names: str, bare_trace: int = 512
+                  ) -> argparse.ArgumentParser:
+    """A parent parser declaring the named shared flags (all of them when
+    none are named).  Each flag is declared here once, with one meaning,
+    for every command that takes it; a command changes only its default,
+    via ``set_defaults``, and *bare_trace* is the ring capacity a bare
+    ``--trace`` asks for.  Build a fresh parent per command: argparse
+    shares a parent's action objects, defaults included."""
+    flags = {
+        "--config": dict(default="P8", choices=sorted(PRESETS)),
+        "--workload": dict(default="oltp", choices=sorted(FACTORIES)),
+        "--nodes": dict(type=int, default=1),
+        "--scale": dict(type=float, default=1.0,
+                        help="workload size multiplier"),
+        "--check": dict(action="store_true",
+                        help="run with the protocol sanitizer (continuous "
+                             "audits + full quiesce audit)"),
+        "--trace": dict(type=int, nargs="?", const=bare_trace, default=0,
+                        metavar="N",
+                        help=f"record the last N protocol events (default "
+                             f"{bare_trace}); violations dump the per-line "
+                             f"history"),
+        "--probe-rate": dict(type=int, default=0, metavar="N",
+                             help="tag 1 of every N L1 misses with a "
+                                  "latency probe (0 = off)"),
+        "--sample-interval": dict(type=float, default=0, metavar="US",
+                                  help="time-series sampling period in "
+                                       "simulated microseconds (0 = off)"),
+        "--trace-spans": dict(type=int, nargs="?", const=256, default=0,
+                              metavar="N",
+                              help="record causal span trees for up to N "
+                                   "probed transactions (default 256) and "
+                                   "write a Perfetto-loadable repro-trace/1 "
+                                   "JSON; implies --probe-rate 64 unless "
+                                   "given explicitly"),
+        "--profile": dict(type=int, nargs="?", const=16, default=0,
+                          metavar="N",
+                          help="host self-profiler: sample 1 of every N "
+                               "dispatched events (default 16) and print "
+                               "the ranked wall-clock hot spots"),
+        "--telemetry": dict(metavar="PATH", default=None,
+                            help="stream live heartbeat/interval/checkpoint "
+                                 "records (JSONL) here; follow with 'repro "
+                                 "watch PATH'; implies --sample-interval 50 "
+                                 "unless given explicitly"),
+    }
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names or flags:
+        parent.add_argument(name, **flags[name])
+    return parent
 
 
-def _build_checked_system(args: argparse.Namespace):
-    """Shared ``run``/``trace`` setup: system + workload, with the
-    sanitizer and/or trace attached per the flags."""
-    config = preset(args.config)
-    check = getattr(args, "check", False)
-    trace_cap = getattr(args, "trace", 0) or 0
-    checker = None
-    if check or trace_cap:
-        checker = (CoherenceChecker.with_trace(trace_cap) if trace_cap
-                   else CoherenceChecker())
-    system = PiranhaSystem(config, num_nodes=args.nodes, checker=checker)
-    workload = WORKLOADS[args.workload](config.cpus, args.nodes, args.scale)
-    system.attach_workload(workload)
-    if check:
-        system.enable_continuous_audit()
-    probe_rate = getattr(args, "probe_rate", 0) or 0
-    sample_us = getattr(args, "sample_interval", 0) or 0
-    metrics_path = getattr(args, "metrics", None)
-    wants_doc = metrics_path or getattr(args, "json", False)
-    if wants_doc and not (probe_rate or sample_us):
-        # --metrics (and report --json) alone imply the default
-        # observability settings
-        probe_rate = 64
-        sample_us = 50.0
-        # keep the namespace consistent so the emitted document records
-        # the rates that actually ran
-        args.probe_rate = probe_rate
-        args.sample_interval = sample_us
-    trace_spans = getattr(args, "trace_spans", 0) or 0
-    if trace_spans and not probe_rate:
-        # the span tracer consumes probe completions
-        probe_rate = 64
-        args.probe_rate = probe_rate
-    if getattr(args, "telemetry", None) and not sample_us:
-        # a heartbeat stream with nothing to beat is useless
-        sample_us = 50.0
-        args.sample_interval = sample_us
-    if probe_rate:
-        system.enable_probes(probe_rate)
-    if trace_spans:
-        system.enable_span_trace(trace_spans)
-    if sample_us:
-        system.enable_sampler(int(sample_us * 1e6))
-    prof_rate = getattr(args, "profile", 0) or 0
-    if prof_rate:
-        from .observe import HostProfiler
+def _spec(args: argparse.Namespace) -> RunSpec:
+    """The :class:`RunSpec` a point command's flags describe.
 
-        system.sim.profiler = HostProfiler(prof_rate)
-    return config, system, checker
+    The workload comes from the harness's own factory table, so the CLI
+    simulates exactly the point ``run(RunSpec(...))`` would.  The
+    CLI-only implications live here: ``--metrics`` (and ``report
+    --json``) imply the default probe and sampler rates unless either is
+    given, and ``--telemetry`` implies a sampler (a heartbeat stream with
+    nothing to beat is useless).  A flag the command does not take reads
+    as off.
+    """
+    probe_rate = getattr(args, "probe_rate", 0)
+    sample_us = getattr(args, "sample_interval", 0)
+    telemetry = getattr(args, "telemetry", None)
+    if ((getattr(args, "metrics", None) or getattr(args, "json", False))
+            and not (probe_rate or sample_us)):
+        probe_rate, sample_us = DEFAULT_PROBE_RATE, DEFAULT_SAMPLE_US
+    if telemetry and not sample_us:
+        sample_us = DEFAULT_SAMPLE_US
+    return RunSpec(
+        preset(args.config), FACTORIES[args.workload](scale=args.scale),
+        nodes=args.nodes, check=getattr(args, "check", False),
+        trace_capacity=getattr(args, "trace", 0), probe_rate=probe_rate,
+        sample_interval_ps=int(sample_us * 1e6),
+        mode="sampled" if getattr(args, "sampled", False) else "detailed",
+        window=getattr(args, "window", 0), period=getattr(args, "period", 0),
+        warming=getattr(args, "warming", "functional"),
+        trace_spans=getattr(args, "trace_spans", 0),
+        profile=getattr(args, "profile", 0), telemetry=telemetry)
 
 
-def _open_cli_telemetry(args: argparse.Namespace, system, config,
-                        mode: str = "detailed"):
+def _open_cli_telemetry(args: argparse.Namespace, spec: RunSpec, system):
     """Open the ``--telemetry`` stream (or return None), emit the
     ``run_start`` banner, and hook the interval sampler."""
-    path = getattr(args, "telemetry", None)
+    path = spec.telemetry
     if not path:
         return None
     from .observe import TelemetryStream
 
     stream = TelemetryStream(path)
-    stream.emit("run_start", config=config.name, workload=args.workload,
-                num_nodes=args.nodes, mode=mode,
-                probe_rate=getattr(args, "probe_rate", 0) or 0,
-                trace_spans=getattr(args, "trace_spans", 0) or 0,
-                profile=getattr(args, "profile", 0) or 0)
+    stream.emit("run_start", config=spec.config.name,
+                workload=args.workload, num_nodes=spec.nodes,
+                mode=spec.mode, probe_rate=spec.probe_rate,
+                trace_spans=spec.trace_spans, profile=spec.profile)
     if system.sampler is not None:
         system.sampler.on_record = stream.on_interval
     print(f"telemetry streaming to {path} "
@@ -150,19 +154,18 @@ def _open_cli_telemetry(args: argparse.Namespace, system, config,
     return stream
 
 
-def _finish_flightdeck(args: argparse.Namespace, system, config,
+def _finish_flightdeck(args: argparse.Namespace, spec: RunSpec, system,
                        stream, result=None) -> None:
     """Post-run flight-deck outputs: write the ``repro-trace/1`` file,
     print the host-profile summary, close the telemetry stream."""
-    trace_spans = getattr(args, "trace_spans", 0) or 0
-    if trace_spans and system.spans is not None:
+    if spec.trace_spans and system.spans is not None:
         from .observe import trace_doc, validate_trace, write_trace
 
         protocol_events = None
         if system.checker is not None and system.checker.trace is not None:
             protocol_events = system.checker.trace.events()
-        doc = trace_doc(system.spans, config.name, system.num_nodes,
-                        getattr(args, "probe_rate", 0) or 0, protocol_events)
+        doc = trace_doc(system.spans, spec.config.name, system.num_nodes,
+                        spec.probe_rate, protocol_events)
         problems = validate_trace(doc)
         out = getattr(args, "trace_out", None) or "repro-trace.json"
         write_trace(out, doc)
@@ -183,21 +186,20 @@ def _finish_flightdeck(args: argparse.Namespace, system, config,
                         sim_wall_s=result.sim_wall_s, cached=False)
         else:
             summary = system.execution_summary()
-            stream.emit("run_end", config=config.name,
+            stream.emit("run_end", config=spec.config.name,
                         workload=args.workload,
                         items=int(summary["instructions"]),
                         sim_wall_s=0.0, cached=False)
         stream.close()
 
 
-def _emit_metrics(system, args, path: str) -> None:
+def _emit_metrics(system, probe_rate: int, sample_interval_ps: int,
+                  path: str) -> None:
     """Write the structured metrics JSON (+ time-series CSV sibling)."""
     from .harness.metrics import metrics_doc, timeseries_csv, write_metrics
 
-    doc = metrics_doc(system, None,
-                      probe_rate=getattr(args, "probe_rate", 0) or 0,
-                      sample_interval_ps=int(
-                          (getattr(args, "sample_interval", 0) or 0) * 1e6))
+    doc = metrics_doc(system, None, probe_rate=probe_rate,
+                      sample_interval_ps=sample_interval_ps)
     write_metrics(doc, path)
     print(f"metrics written to {path}")
     if doc["timeseries"] is not None:
@@ -247,28 +249,25 @@ def _print_audit_ok(telemetry) -> None:
           f"holdings verified)")
 
 
-def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
+def _run_sampled_cli(args: argparse.Namespace, spec: RunSpec,
+                     system) -> int:
     """``run --sampled``: SMARTS-style sampled simulation of the point."""
     import time
 
     from .fastforward import SampledRun
-    from .harness import UNITS_ATTR
-    from .harness.runner import SAMPLED_PERIOD, SAMPLED_WINDOW
 
-    window = args.window or SAMPLED_WINDOW
-    period = args.period or SAMPLED_PERIOD
-    print(f"sampled simulation of {args.workload} on {args.nodes} x "
-          f"{config.name}: window={window} period={period} "
-          f"warming={args.warming}")
-    stream = _open_cli_telemetry(args, system, config, mode="sampled")
+    config = spec.config
+    print(f"sampled simulation of {args.workload} on {spec.nodes} x "
+          f"{config.name}: window={spec.window} period={spec.period} "
+          f"warming={spec.warming}")
+    stream = _open_cli_telemetry(args, spec, system)
     t0 = time.time()
-    run = SampledRun(system, window=window, period=period,
-                     warming=args.warming, telemetry=stream)
+    run = SampledRun(system, window=spec.window, period=spec.period,
+                     warming=spec.warming, telemetry=stream)
     try:
         run.run()
         # with a checker attached, to_result runs the sanitizer audit
-        result = run.to_result(config, args.nodes,
-                               UNITS_ATTR.get(args.workload, "transactions"),
+        result = run.to_result(config, spec.nodes, spec.units_attr,
                                wall=time.time() - t0)
     except AssertionError as exc:
         # CoherenceViolation from the sanitizer (mid-run audit or the
@@ -279,7 +278,8 @@ def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
     if run.system.checker is not None:
         _print_audit_ok(result.extras)
     sampling = result.extras["sampling"]
-    print(f"\nwindows        : {sampling['windows']} x {window} items/CPU "
+    print(f"\nwindows        : {sampling['windows']} x {spec.window} "
+          f"items/CPU "
           f"(measured {sampling['measured_items']:,} items, "
           f"fast-forwarded {sampling['ff_items']:,})")
     print(f"time per unit  : {result.time_per_unit_ns:,.0f} ns "
@@ -295,16 +295,18 @@ def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
             print(f"  {name:<14} {stats['mean']:.4f} +/- {stats['ci95']:.4f} "
                   f"({stats['rel_err']:.1%})")
     print(f"\nwall time      : {result.sim_wall_s:.2f} s")
-    _finish_flightdeck(args, run.system, config, stream, result=result)
+    _finish_flightdeck(args, spec, run.system, stream, result=result)
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``: simulate one workload on one configuration."""
-    config, system, checker = _build_checked_system(args)
-    if getattr(args, "sampled", False):
-        return _run_sampled_cli(args, config, system)
-    stream = _open_cli_telemetry(args, system, config)
+    spec = _spec(args)
+    config = spec.config
+    system, _workload = build_system(spec)
+    if spec.mode == "sampled":
+        return _run_sampled_cli(args, spec, system)
+    stream = _open_cli_telemetry(args, spec, system)
     checkpointer = None
     every_us = getattr(args, "checkpoint_every", 0) or 0
     if every_us:
@@ -317,11 +319,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpointer = PeriodicCheckpointer(system, int(every_us * 1e6),
                                             on_capture=on_capture)
         checkpointer.start()
-    print(f"simulating {args.workload} on {args.nodes} x {config.name} "
-          f"({config.cpus * args.nodes} CPUs) ...")
+    print(f"simulating {args.workload} on {spec.nodes} x {config.name} "
+          f"({config.cpus * spec.nodes} CPUs) ...")
     try:
         finish = system.run_to_completion()
-        telemetry = system.verify() if checker is not None else None
+        telemetry = system.verify() if system.checker is not None else None
     except AssertionError as exc:
         # CoherenceViolation from the sanitizer (mid-run audit or quiesce
         # verify): with the flight recorder armed, restore the last
@@ -350,9 +352,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                  for cls, blk in probes["classes"].items() if blk["count"]]
         print(f"latency probes (1/{probes['rate']}): "
               f"{probes['completed']} completed — " + ", ".join(parts))
-    if getattr(args, "metrics", None):
-        _emit_metrics(system, args, args.metrics)
-    _finish_flightdeck(args, system, config, stream)
+    if args.metrics:
+        _emit_metrics(system, spec.probe_rate, spec.sample_interval_ps,
+                      args.metrics)
+    _finish_flightdeck(args, spec, system, stream)
     if args.report:
         from .harness.perfmon import render_report, system_report
 
@@ -366,8 +369,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print the ranked (component, event-class) wall-clock hot spots —
     where the *simulator* spends its time, not the simulated machine."""
     args.profile = args.sample_rate
-    config, system, _checker = _build_checked_system(args)
-    print(f"profiling {args.workload} on {args.nodes} x {config.name} "
+    spec = _spec(args)
+    system, _workload = build_system(spec)
+    print(f"profiling {args.workload} on {spec.nodes} x {spec.config.name} "
           f"(sampling 1/{args.sample_rate} events) ...", file=sys.stderr)
     system.run_to_completion()
     profiler = system.sim.profiler
@@ -408,19 +412,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     """``report``: run one workload and print the performance-monitor
     rollup — text tables by default, the structured metrics document
     with ``--json``."""
-    config, system, _checker = _build_checked_system(args)
-    print(f"simulating {args.workload} on {args.nodes} x {config.name} "
-          f"({config.cpus * args.nodes} CPUs) ...", file=sys.stderr)
+    spec = _spec(args)
+    config = spec.config
+    system, _workload = build_system(spec)
+    print(f"simulating {args.workload} on {spec.nodes} x {config.name} "
+          f"({config.cpus * spec.nodes} CPUs) ...", file=sys.stderr)
     system.run_to_completion()
     if args.json:
         import json
 
         from .harness.metrics import metrics_doc
 
-        doc = metrics_doc(
-            system, None,
-            probe_rate=args.probe_rate or 0,
-            sample_interval_ps=int((args.sample_interval or 0) * 1e6))
+        doc = metrics_doc(system, None, probe_rate=spec.probe_rate,
+                          sample_interval_ps=spec.sample_interval_ps)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         from .harness.perfmon import render_report, system_report
@@ -432,8 +436,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: run a workload with the protocol trace recording and
     dump the (filtered) tail of the ring buffer."""
-    config, system, checker = _build_checked_system(args)
-    print(f"tracing {args.workload} on {args.nodes} x {config.name} "
+    spec = _spec(args)
+    system, _workload = build_system(spec)
+    checker = system.checker
+    print(f"tracing {args.workload} on {spec.nodes} x {spec.config.name} "
           f"(ring capacity {checker.trace.capacity}) ...", file=sys.stderr)
     system.run_to_completion()
     if args.check:
@@ -448,30 +454,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_value(text: str):
-    """Parse one swept value: int (with K/M/G suffix), float, or string."""
-    from .harness.sweep import parse_sweep_value
-
-    return parse_sweep_value(text)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``: run one workload across a family of derived configs."""
-    from .harness import FACTORIES, UNITS_ATTR, format_table
-    from .harness.sweep import sweep_field
+    from .harness.sweep import parse_sweep_value, sweep_field
 
-    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    values = [parse_sweep_value(v) for v in args.values.split(",")
+              if v.strip()]
     if not values:
         print("no sweep values given", file=sys.stderr)
         return 2
-    factory = FACTORIES[args.workload]()
     print(f"sweeping {args.config}.{args.field} over {values} "
           f"({args.workload}, jobs={args.jobs if args.jobs else 'auto'})")
     try:
-        records = sweep_field(
-            args.config, factory, args.field, values, num_nodes=args.nodes,
-            units_attr=UNITS_ATTR[args.workload], jobs=args.jobs,
-            warmup=args.warmup, resume=args.resume)
+        records = sweep_field(_spec(args).replace(warmup=args.warmup),
+                              args.field, values, jobs=args.jobs,
+                              resume=args.resume)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -582,10 +579,12 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                              load_checkpoint, save_checkpoint)
 
     if args.verb == "save":
-        config, system, _checker = _build_checked_system(args)
+        spec = _spec(args)
+        config = spec.config
+        system, _workload = build_system(spec)
         capture = WarmCapture(system, halt=True)
-        print(f"warming {args.workload} on {args.nodes} x {config.name} "
-              f"({config.cpus * args.nodes} CPUs) ...")
+        print(f"warming {args.workload} on {spec.nodes} x {config.name} "
+              f"({config.cpus * spec.nodes} CPUs) ...")
         system.start()
         system.sim.run()
         if not capture.captured:
@@ -598,10 +597,9 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
             extra={
                 "config_name": args.config,
                 "scale": args.scale,
-                "check": bool(args.check),
-                "probe_rate": getattr(args, "probe_rate", 0) or 0,
-                "sample_interval_us": getattr(args, "sample_interval", 0)
-                                      or 0,
+                "check": spec.check,
+                "probe_rate": spec.probe_rate,
+                "sample_interval_us": spec.sample_interval_ps / 1e6,
             })
         print(f"checkpoint written to {args.out}: warm boundary @ "
               f"{manifest['sim_now'] / 1e6:.1f} us, "
@@ -645,9 +643,10 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         # emit with the probe/sampler rates the snapshot was taken with,
         # so the document is byte-identical to an uninterrupted
         # ``repro run --metrics`` at the same settings
-        args.probe_rate = manifest.get("probe_rate", 0) or 0
-        args.sample_interval = manifest.get("sample_interval_us", 0) or 0
-        _emit_metrics(system, args, args.metrics)
+        _emit_metrics(system, manifest.get("probe_rate", 0) or 0,
+                      round((manifest.get("sample_interval_us", 0) or 0)
+                            * 1e6),
+                      args.metrics)
     return 0
 
 
@@ -752,7 +751,7 @@ def cmd_xval(args: argparse.Namespace) -> int:
 def cmd_list(_args: argparse.Namespace) -> int:
     """``list``: show available configurations and workloads."""
     print("configurations:", ", ".join(sorted(PRESETS)))
-    print("workloads     :", ", ".join(sorted(WORKLOADS)))
+    print("workloads     :", ", ".join(sorted(FACTORIES)))
     return 0
 
 
@@ -796,8 +795,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "seeds": args.seeds,
         "tag": args.tag,
         "preempt_every_us": args.preempt_every,
-        "sample_interval_us": args.sample_interval,
-        "probe_rate": args.probe_rate,
+        "sample_interval_us": args.sample_interval or None,
+        "probe_rate": args.probe_rate or None,
     }
     if args.kind == "sweep" and not (args.field and args.values):
         print("sweep jobs need --field and --values", file=sys.stderr)
@@ -862,20 +861,8 @@ def main(argv=None) -> int:
         description="Piranha (ISCA 2000) reproduction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate a workload")
-    run_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    run_p.add_argument("--workload", default="oltp",
-                       choices=sorted(WORKLOADS))
-    run_p.add_argument("--nodes", type=int, default=1)
-    run_p.add_argument("--scale", type=float, default=1.0,
-                       help="workload size multiplier")
-    run_p.add_argument("--check", action="store_true",
-                       help="run with the protocol sanitizer (continuous "
-                            "audits + full quiesce audit)")
-    run_p.add_argument("--trace", type=int, nargs="?", const=512, default=0,
-                       metavar="N",
-                       help="record the last N protocol events (default "
-                            "512); violations dump the per-line history")
+    run_p = sub.add_parser("run", parents=[_shared_flags()],
+                           help="simulate a workload")
     run_p.add_argument("--report", action="store_true",
                        help="print the full per-module performance report")
     run_p.add_argument("--metrics", metavar="PATH", default=None,
@@ -883,32 +870,9 @@ def main(argv=None) -> int:
                             "a .csv time-series sibling); implies "
                             "--probe-rate 64 --sample-interval 50 unless "
                             "given explicitly")
-    run_p.add_argument("--probe-rate", type=int, default=0, metavar="N",
-                       help="tag 1 of every N L1 misses with a latency "
-                            "probe (0 = off)")
-    run_p.add_argument("--sample-interval", type=float, default=0,
-                       metavar="US",
-                       help="time-series sampling period in simulated "
-                            "microseconds (0 = off)")
-    run_p.add_argument("--trace-spans", type=int, nargs="?", const=256,
-                       default=0, metavar="N",
-                       help="record causal span trees for up to N probed "
-                            "transactions (default 256) and write a "
-                            "Perfetto-loadable repro-trace/1 JSON; implies "
-                            "--probe-rate 64 unless given explicitly")
     run_p.add_argument("--trace-out", metavar="PATH", default=None,
                        help="span-trace output path (default "
                             "repro-trace.json)")
-    run_p.add_argument("--profile", type=int, nargs="?", const=16,
-                       default=0, metavar="N",
-                       help="host self-profiler: sample 1 of every N "
-                            "dispatched events (default 16) and print the "
-                            "ranked wall-clock hot spots")
-    run_p.add_argument("--telemetry", metavar="PATH", default=None,
-                       help="stream live heartbeat/interval/checkpoint "
-                            "records (JSONL) here; follow with "
-                            "'repro watch PATH'; implies --sample-interval "
-                            "50 unless given explicitly")
     run_p.add_argument("--checkpoint-every", type=float, default=0,
                        metavar="US",
                        help="keep rolling machine snapshots every US "
@@ -933,34 +897,21 @@ def main(argv=None) -> int:
     run_p.set_defaults(fn=cmd_run)
 
     report_p = sub.add_parser(
-        "report", help="run a workload and print the perfmon rollup")
-    report_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    report_p.add_argument("--workload", default="oltp",
-                          choices=sorted(WORKLOADS))
-    report_p.add_argument("--nodes", type=int, default=1)
-    report_p.add_argument("--scale", type=float, default=1.0,
-                          help="workload size multiplier")
+        "report",
+        parents=[_shared_flags("--config", "--workload", "--nodes", "--scale",
+                               "--probe-rate", "--sample-interval")],
+        help="run a workload and print the perfmon rollup")
     report_p.add_argument("--json", action="store_true",
                           help="emit the structured metrics document "
                                "instead of text tables")
-    report_p.add_argument("--probe-rate", type=int, default=0, metavar="N",
-                          help="tag 1 of every N L1 misses with a latency "
-                               "probe (0 = off)")
-    report_p.add_argument("--sample-interval", type=float, default=0,
-                          metavar="US",
-                          help="time-series sampling period in simulated "
-                               "microseconds (0 = off)")
     report_p.set_defaults(fn=cmd_report)
 
     profile_p = sub.add_parser(
-        "profile", help="run a workload under the host self-profiler and "
-                        "print the ranked wall-clock hot spots")
-    profile_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    profile_p.add_argument("--workload", default="oltp",
-                           choices=sorted(WORKLOADS))
-    profile_p.add_argument("--nodes", type=int, default=1)
-    profile_p.add_argument("--scale", type=float, default=0.25,
-                           help="workload size multiplier")
+        "profile",
+        parents=[_shared_flags("--config", "--workload", "--nodes",
+                               "--scale")],
+        help="run a workload under the host self-profiler and print the "
+             "ranked wall-clock hot spots")
     profile_p.add_argument("--sample-rate", type=int, default=16, metavar="N",
                            help="time 1 of every N dispatched events "
                                 "(default 16)")
@@ -969,7 +920,7 @@ def main(argv=None) -> int:
     profile_p.add_argument("--json", action="store_true",
                            help="emit the structured profile document "
                                 "instead of the table")
-    profile_p.set_defaults(fn=cmd_profile)
+    profile_p.set_defaults(fn=cmd_profile, scale=0.25)
 
     watch_p = sub.add_parser(
         "watch", help="render a live-telemetry JSONL stream "
@@ -986,36 +937,26 @@ def main(argv=None) -> int:
     watch_p.set_defaults(fn=cmd_watch)
 
     trace_p = sub.add_parser(
-        "trace", help="run a workload with the protocol trace and dump it")
-    trace_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    trace_p.add_argument("--workload", default="migratory",
-                         choices=sorted(WORKLOADS))
-    trace_p.add_argument("--nodes", type=int, default=1)
-    trace_p.add_argument("--scale", type=float, default=0.25,
-                         help="workload size multiplier")
-    trace_p.add_argument("--trace", type=int, nargs="?", const=4096,
-                         default=4096, metavar="N",
-                         help="ring capacity (default 4096)")
-    trace_p.add_argument("--check", action="store_true",
-                         help="also run the protocol sanitizer")
+        "trace",
+        parents=[_shared_flags("--config", "--workload", "--nodes", "--scale",
+                               "--trace", "--check", bare_trace=4096)],
+        help="run a workload with the protocol trace and dump it")
     trace_p.add_argument("--line", default=None,
                          help="only events for this line address (hex ok)")
     trace_p.add_argument("--node", type=int, default=None,
                          help="only events from this node")
     trace_p.add_argument("--last", type=int, default=32,
                          help="how many trailing events to print")
-    trace_p.set_defaults(fn=cmd_trace)
+    trace_p.set_defaults(fn=cmd_trace, workload="migratory", scale=0.25,
+                         trace=4096)
 
     sweep_p = sub.add_parser(
-        "sweep", help="sweep one config field over a set of values")
-    sweep_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    sweep_p.add_argument("--workload", default="oltp",
-                         choices=sorted(WORKLOADS))
+        "sweep", parents=[_shared_flags("--config", "--workload", "--nodes")],
+        help="sweep one config field over a set of values")
     sweep_p.add_argument("--field", required=True,
                          help="dotted config field, e.g. l2.size_bytes")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values (K/M/G suffixes ok)")
-    sweep_p.add_argument("--nodes", type=int, default=1)
     sweep_p.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or 1; "
                              "0 = all cores)")
@@ -1028,27 +969,22 @@ def main(argv=None) -> int:
                               "points answer from the result cache, "
                               "interrupted ones restore their warm "
                               "snapshot (implies --warmup)")
-    sweep_p.set_defaults(fn=cmd_sweep)
+    sweep_p.set_defaults(fn=cmd_sweep, scale=scale_factor())
 
     fuzz_p = sub.add_parser(
-        "fuzz", help="run a seeded fuzz program against the memory-model "
-                     "reference checker")
+        "fuzz", parents=[_shared_flags("--config", "--nodes", "--check",
+                                       "--trace", bare_trace=2048)],
+        help="run a seeded fuzz program against the memory-model "
+             "reference checker")
     fuzz_p.add_argument("--seed", type=int, default=0,
                         help="stimulus seed (fully determines the program)")
     fuzz_p.add_argument("--ops", type=int, default=2000,
                         help="total operation budget across all CPUs")
-    fuzz_p.add_argument("--nodes", type=int, default=1)
-    fuzz_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
     fuzz_p.add_argument("--cpus", type=int, default=4,
                         help="CPUs driven per node")
     fuzz_p.add_argument("--mutate", metavar="NAME[/PERIOD]", default=None,
                         help="inject a deliberate protocol mutation "
                              "(lost_inval, stale_share, skip_fence)")
-    fuzz_p.add_argument("--check", action="store_true",
-                        help="also arm the structural protocol sanitizer")
-    fuzz_p.add_argument("--trace", type=int, nargs="?", const=2048,
-                        default=0, metavar="N",
-                        help="protocol trace ring capacity (default 2048)")
     fuzz_p.add_argument("--tail", type=int, default=24,
                         help="trace lines printed on violation")
     fuzz_p.add_argument("--shrink", type=int, nargs="?", const=400,
@@ -1073,22 +1009,12 @@ def main(argv=None) -> int:
     ckpt_sub = ckpt_p.add_subparsers(dest="verb", required=True)
 
     save_p = ckpt_sub.add_parser(
-        "save", help="warm a workload to its measurement boundary and "
-                     "snapshot the whole machine")
-    save_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    save_p.add_argument("--workload", default="oltp",
-                        choices=sorted(WORKLOADS))
-    save_p.add_argument("--nodes", type=int, default=1)
-    save_p.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier")
-    save_p.add_argument("--check", action="store_true",
-                        help="arm the protocol sanitizer in the snapshot")
-    save_p.add_argument("--probe-rate", type=int, default=0, metavar="N",
-                        help="latency-probe rate baked into the snapshot")
-    save_p.add_argument("--sample-interval", type=float, default=0,
-                        metavar="US",
-                        help="time-series sampling period baked into the "
-                             "snapshot")
+        "save",
+        parents=[_shared_flags("--config", "--workload", "--nodes", "--scale",
+                               "--check", "--probe-rate",
+                               "--sample-interval")],
+        help="warm a workload to its measurement boundary and snapshot "
+             "the whole machine")
     save_p.add_argument("--out", required=True, metavar="PATH",
                         help="checkpoint file to write (.ckpt)")
     save_p.set_defaults(fn=cmd_checkpoint)
@@ -1118,14 +1044,11 @@ def main(argv=None) -> int:
     cache_p.set_defaults(fn=cmd_cache)
 
     xval_p = sub.add_parser(
-        "xval", help="cross-validate ISA kernels: functional reference "
-                     "vs the timed machine (repro-xval/1 report)")
-    xval_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    xval_p.add_argument("--nodes", type=int, default=1)
+        "xval", parents=[_shared_flags("--config", "--nodes", "--scale")],
+        help="cross-validate ISA kernels: functional reference vs the "
+             "timed machine (repro-xval/1 report)")
     xval_p.add_argument("--kernel", default="all",
                         choices=("all",) + tuple(KERNEL_NAMES))
-    xval_p.add_argument("--scale", type=float, default=1.0,
-                        help="kernel iteration-count multiplier")
     xval_p.add_argument("--seeds", type=int, default=3, metavar="N",
                         help="functional interleaving seeds per kernel "
                              "(images must agree across all of them)")
@@ -1159,18 +1082,16 @@ def main(argv=None) -> int:
                        help="0 = discover via <root>/service/server.json")
 
     submit_p = sub.add_parser(
-        "submit", help="submit a job to a running service")
+        "submit",
+        parents=[_shared_flags("--config", "--workload", "--nodes", "--scale",
+                               "--check", "--probe-rate",
+                               "--sample-interval")],
+        help="submit a job to a running service")
     _client_args(submit_p)
     submit_p.add_argument("--kind", default="run",
                           choices=("run", "sweep", "fuzz", "xval"))
-    submit_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    submit_p.add_argument("--workload", default="oltp",
-                          choices=sorted(WORKLOADS))
-    submit_p.add_argument("--nodes", type=int, default=1)
-    submit_p.add_argument("--scale", type=float, default=1.0)
     submit_p.add_argument("--priority", type=int, default=0,
                           help="higher runs first and may preempt")
-    submit_p.add_argument("--check", action="store_true")
     submit_p.add_argument("--field", default=None,
                           help="swept config field (kind=sweep)")
     submit_p.add_argument("--values", default=None,
@@ -1187,9 +1108,6 @@ def main(argv=None) -> int:
     submit_p.add_argument("--preempt-every", type=float, default=None,
                           metavar="US",
                           help="preemption-guard period in sim-us")
-    submit_p.add_argument("--sample-interval", type=float, default=None,
-                          metavar="US", help="telemetry sampling interval")
-    submit_p.add_argument("--probe-rate", type=int, default=None)
     submit_p.add_argument("--wait", action="store_true",
                           help="block until terminal; print the artifact")
     submit_p.add_argument("--attach", action="store_true",

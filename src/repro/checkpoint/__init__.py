@@ -28,14 +28,14 @@ from .format import (CheckpointError, SCHEMA, build_manifest,
 from .machine import (PeriodicCheckpointer, WarmCapture, WindowHandoff,
                       restore_system, snapshot_bytes)
 from .pickling import CheckpointPickler, dumps, loads
-from .store import WARM_STORE, WarmStore, warm_key
+from .store import WARM_STORE, WarmStore
 
 __all__ = [
     "CheckpointError", "SCHEMA",
     "CheckpointPickler", "dumps", "loads",
     "snapshot_bytes", "restore_system", "WarmCapture",
     "PeriodicCheckpointer", "WindowHandoff",
-    "WarmStore", "WARM_STORE", "warm_key",
+    "WarmStore", "WARM_STORE",
     "save_checkpoint", "load_checkpoint", "checkpoint_info",
     "build_manifest", "read_checkpoint", "read_manifest",
     "validate_manifest", "write_checkpoint",

@@ -1,6 +1,6 @@
 """Warm-checkpoint store: cached post-warm-up snapshots on disk.
 
-The amortisation behind ``simulate(..., warmup=True)``: warming a large
+The amortisation behind ``RunSpec(..., warmup=True)``: warming a large
 OLTP footprint dominates wall-clock for short measurement runs, yet the
 warm state is a pure function of (library, config, workload, node count,
 observability settings).  So the first run of a (config, workload) point
@@ -17,62 +17,25 @@ cache, with the same environment knobs (``REPRO_CACHE_DIR``,
 discard warm state, which is far more expensive to rebuild; ``repro
 checkpoint clear`` removes these.
 
-Keys fold in everything a snapshot depends on: checkpoint schema,
-library fingerprint, config digest, workload token, node count, the
-observability settings (check/trace/probe/sampler — they shape the
-object graph itself: a sampler's pending tick lives in the event queue)
-and ``REPRO_SCALE``.  An opaque workload (no stable token) is simply
+Keys are :class:`~repro.harness.spec.RunSpec` ``warm`` digests: the
+checkpoint schema, the Python tag, the library fingerprint, the config
+digest, the workload token (which carries the workload scale), the node
+count and unit, and the observability settings (check/trace/probe/
+sampler — they shape the object graph itself: a sampler's pending tick
+lives in the event queue), namespaced ``sampled-<warming>`` for sampled
+runs.  An opaque workload (no stable token) has no digest and is simply
 not stored, mirroring the result cache.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
-from ..harness.cache import (cache_dir, cache_enabled, config_digest,
-                             library_fingerprint, workload_token)
+from ..harness.cache import cache_dir, cache_enabled, library_fingerprint
 from . import format as ckpt_format
 
-__all__ = ["WarmStore", "WARM_STORE", "warm_key"]
-
-
-def warm_key(config, factory, num_nodes: int, units_attr: str,
-             check_coherence: bool, trace_capacity: int, probe_rate: int,
-             sample_interval_ps: int,
-             variant: str = "detailed") -> Optional[str]:
-    """Warm-store key for one (config, workload) point, or None if the
-    workload has no stable identity.
-
-    ``variant`` namespaces snapshots whose warm state is *not* the
-    detailed warm-up image: sampled runs park their CPUs at the boundary
-    (and functional warming is an approximation), so their snapshots
-    must never answer a ``warmup=True`` detailed run, and vice versa.
-    The default leaves historical detailed keys unchanged.
-    """
-    token = workload_token(factory)
-    if token is None:
-        return None
-    fields = {
-            "schema": ckpt_format.SCHEMA,
-            "python": ckpt_format.python_version_tag(),
-            "lib": library_fingerprint(),
-            "config": config_digest(config),
-            "workload": token,
-            "nodes": num_nodes,
-            "units_attr": units_attr,
-            "check": bool(check_coherence),
-            "trace": int(trace_capacity),
-            "probe": int(probe_rate),
-            "sample": int(sample_interval_ps),
-            "scale": os.environ.get("REPRO_SCALE", "1.0"),
-    }
-    if variant != "detailed":
-        fields["variant"] = variant
-    payload = json.dumps(fields, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+__all__ = ["WarmStore", "WARM_STORE"]
 
 
 class WarmStore:

@@ -54,7 +54,7 @@ from .messages import (
 )
 from .microcode import Assembler, Instr, Op, Program, Sequencer, disassemble
 from .protocol_engine import ProtocolEngine
-from .ras import MemoryMirror, PersistentMemory, ProtocolWatchdog
+from .ras import ProtocolWatchdog
 from .rdram import MemoryController, RdramChannel
 from .syscontrol import SystemControl
 from .tlb import Tlb
@@ -128,8 +128,6 @@ __all__ = [
     "Sequencer",
     "disassemble",
     "ProtocolEngine",
-    "MemoryMirror",
-    "PersistentMemory",
     "ProtocolWatchdog",
     "Tlb",
     "MemoryController",

@@ -415,7 +415,7 @@ def audit_system(system, quiesced: bool = True,
     """Run the full sanitizer audit set; returns deterministic telemetry.
 
     This is the single audit entry point shared by the CLI (``repro run
-    --check``), the harness (``check_coherence=True``) and the continuous
+    --check``), the harness (``RunSpec(check=True)``) and the continuous
     mid-run audits, so no caller can silently verify less than another.
     Raises :class:`CoherenceViolation` (with trace history when a trace
     is attached) on the first broken invariant.

@@ -262,7 +262,7 @@ class PiranhaSystem:
     def verify(self, quiesced: bool = True) -> Dict[str, float]:
         """Run the full sanitizer audit set (checker quiesce invariants +
         structural audits); returns the audit telemetry.  The CLI
-        ``--check`` path and the harness ``check_coherence=True`` path
+        ``--check`` path and the harness ``RunSpec(check=True)`` path
         both call exactly this."""
         telemetry = audit_system(self, quiesced=quiesced)
         telemetry["audit_continuous_runs"] = float(self.continuous_audits)

@@ -35,6 +35,7 @@ from ..core.config import preset
 from ..core.cpu import WARMUP_DONE
 from ..core.messages import AccessKind
 from ..harness.runner import RunResult, simulate
+from ..harness.spec import RunSpec
 from ..mem.addr import LINE_SHIFT
 from ..workloads.base import Workload, WorkloadThread
 from .mutations import apply_mutation
@@ -287,6 +288,19 @@ def _bisect_replay(workload: FuzzWorkload, trace_capacity: int,
     return info
 
 
+class _Prebuilt:
+    """Factory handing the harness an already-built fuzz workload.  It
+    has no workload token, so fuzz points are never cached."""
+
+    units_attr = "ops"
+
+    def __init__(self, workload: "FuzzWorkload") -> None:
+        self.workload = workload
+
+    def __call__(self, _config, _num_nodes) -> "FuzzWorkload":
+        return self.workload
+
+
 def run_fuzz_program(program: FuzzProgram, check: bool = True,
                      trace_capacity: int = 2048,
                      checkpoint_every_ps: int = 0) -> FuzzVerdict:
@@ -314,11 +328,9 @@ def run_fuzz_program(program: FuzzProgram, check: bool = True,
         return FuzzVerdict(ok=True)
     workload = FuzzWorkload(program, checkpoint_every_ps=checkpoint_every_ps)
     try:
-        result = simulate(
-            config, lambda _cfg, _n: workload, num_nodes=program.nodes,
-            units_attr="ops", check_coherence=check,
-            trace_capacity=trace_capacity if check else 0,
-        )
+        result = simulate(RunSpec(
+            config, _Prebuilt(workload), nodes=program.nodes, check=check,
+            trace_capacity=trace_capacity if check else 0))
     except (MemoryModelViolation, CoherenceViolation, RuntimeError) as exc:
         return FuzzVerdict(
             ok=False,

@@ -16,7 +16,7 @@ simulate several independent points dispatch them through
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import preset, table1
 from ..isa.kernels import IsaKernelFactory
@@ -25,12 +25,13 @@ from ..workloads.micro import MicroParams, MigratoryWrites
 from ..workloads.oltp import OltpParams, OltpWorkload
 from ..workloads.tpcc import TpccWorkload, tpcc_params
 from ..workloads.web import WebParams, WebWorkload
-from .parallel import Job, run_jobs
-from .runner import RunResult, run_workload, scale_factor
+from .parallel import run_jobs
+from .runner import RunResult
+from .spec import RunSpec, scale_factor
 
 
-def _oltp_params() -> OltpParams:
-    scale = scale_factor()
+def _oltp_params(scale: float = 1.0) -> OltpParams:
+    """TPC-B defaults with the measured phases shrunk by *scale*."""
     base = OltpParams()
     if scale != 1.0:
         base = replace(
@@ -43,12 +44,18 @@ def _oltp_params() -> OltpParams:
 
 @dataclass(frozen=True)
 class OltpFactory:
-    """TPC-B-like OLTP workload builder (picklable, cache-tokenable)."""
+    """TPC-B-like OLTP workload builder (picklable, cache-tokenable).
+
+    Like every factory here, ``scale`` sizes the default parameters
+    (explicit ``params`` are used as given) and is part of the repr, so
+    of the workload token and every key."""
 
     params: Optional[OltpParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "transactions"
 
     def __call__(self, config, num_nodes):
-        return OltpWorkload(self.params or _oltp_params(),
+        return OltpWorkload(self.params or _oltp_params(self.scale),
                             cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
@@ -57,14 +64,15 @@ class DssFactory:
     """DSS (TPC-D-like scan) workload builder."""
 
     params: Optional[DssParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "rows"
 
     def __call__(self, config, num_nodes):
         p = self.params
         if p is None:
-            scale = scale_factor()
             p = DssParams()
-            if scale != 1.0:
-                p = replace(p, rows=max(60, int(p.rows * scale)))
+            if self.scale != 1.0:
+                p = replace(p, rows=max(60, int(p.rows * self.scale)))
         return DssWorkload(p, cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
@@ -73,9 +81,11 @@ class TpccFactory:
     """TPC-C-like workload builder (derives params from the TPC-B base)."""
 
     params: Optional[OltpParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "transactions"
 
     def __call__(self, config, num_nodes):
-        base = tpcc_params(self.params or _oltp_params())
+        base = tpcc_params(self.params or _oltp_params(self.scale))
         return TpccWorkload(base, cpus_per_node=config.cpus,
                             num_nodes=num_nodes)
 
@@ -85,14 +95,15 @@ class WebFactory:
     """AltaVista-like web-search workload builder."""
 
     params: Optional[WebParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "queries"
 
     def __call__(self, config, num_nodes):
         p = self.params
         if p is None:
-            scale = scale_factor()
             p = WebParams()
-            if scale != 1.0:
-                p = replace(p, queries=max(40, int(p.queries * scale)))
+            if self.scale != 1.0:
+                p = replace(p, queries=max(40, int(p.queries * self.scale)))
         return WebWorkload(p, cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
@@ -101,19 +112,22 @@ class MigratoryFactory:
     """Migratory-writes microbenchmark builder."""
 
     params: Optional[MicroParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "iterations"
 
     def __call__(self, config, num_nodes):
         p = self.params
         if p is None:
-            scale = scale_factor()
             p = MicroParams()
-            if scale != 1.0:
-                p = replace(p, iterations=max(200, int(p.iterations * scale)))
+            if self.scale != 1.0:
+                p = replace(p, iterations=max(200,
+                                              int(p.iterations * self.scale)))
         return MigratoryWrites(p, cpus_per_node=config.cpus,
                                num_nodes=num_nodes)
 
 
-#: name -> factory class, for the CLI sweep command and ad-hoc studies
+#: name -> factory class: the one workload table shared by the CLI, the
+#: service worker, the experiments and ad-hoc studies
 FACTORIES = {
     "oltp": OltpFactory,
     "dss": DssFactory,
@@ -123,61 +137,19 @@ FACTORIES = {
     "isa": IsaKernelFactory,
 }
 
-#: units attribute measured per workload
-UNITS_ATTR = {
-    "oltp": "transactions",
-    "dss": "rows",
-    "tpcc": "transactions",
-    "web": "queries",
-    "migratory": "iterations",
-    "isa": "iterations",
-}
-
-
-# legacy closure-style helpers, kept for API compatibility
-def _oltp_factory(params: Optional[OltpParams] = None) -> OltpFactory:
-    return OltpFactory(params)
-
-
-def _dss_factory(params: Optional[DssParams] = None) -> DssFactory:
-    return DssFactory(params)
-
-
-def _tpcc_factory() -> TpccFactory:
-    return TpccFactory()
-
-
-def run_oltp(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, OltpFactory(), num_nodes,
-                        units_attr="transactions",
-                        cache_key_extra=("oltp", scale_factor()), **kw)
-
-
-def run_dss(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, DssFactory(), num_nodes,
-                        units_attr="rows",
-                        cache_key_extra=("dss", scale_factor()), **kw)
-
-
-def run_tpcc(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, TpccFactory(), num_nodes,
-                        units_attr="transactions",
-                        cache_key_extra=("tpcc", scale_factor()), **kw)
-
 
 def run_points(points: Sequence[Tuple[str, str, int]],
                jobs: Optional[int] = None) -> List[RunResult]:
-    """Run ``(workload, config_name, num_nodes)`` points, honouring
-    ``REPRO_JOBS``: the independent simulations behind one figure fan out
-    across worker processes, serially when unset."""
+    """Run ``(workload, config_name, num_nodes)`` points at
+    ``REPRO_SCALE``, honouring ``REPRO_JOBS``: the independent
+    simulations behind one figure fan out across worker processes,
+    serially when unset."""
     scale = scale_factor()
-    job_specs = [
-        Job(config=preset(config_name), factory=FACTORIES[workload](),
-            num_nodes=num_nodes, units_attr=UNITS_ATTR[workload],
-            cache_key_extra=(workload, scale))
-        for workload, config_name, num_nodes in points
-    ]
-    return run_jobs(job_specs, jobs=jobs)
+    return run_jobs(
+        [RunSpec(preset(config_name), FACTORIES[workload](scale=scale),
+                 nodes=num_nodes)
+         for workload, config_name, num_nodes in points],
+        jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,22 @@
 
 Each simulation point is an independent, deterministic, single-threaded
 program — the ideal unit for process-level parallelism.  :func:`run_jobs`
-takes a list of :class:`Job` specs, answers what it can from the memo /
-disk caches, and fans the remaining points out over a
-``ProcessPoolExecutor``.  Workers run the shared
+takes a list of :class:`~repro.harness.spec.RunSpec` points, answers
+what it can from the memo / disk caches, and fans the remaining points
+out over a ``ProcessPoolExecutor``.  Workers run the shared
 :func:`~repro.harness.runner.simulate` implementation, so a parallel run
 produces bit-for-bit the same measurement payload as a serial one (see
-DESIGN.md, "Determinism").
+DESIGN.md, "Determinism"); detailed and sampled points fan out alike.
 
 Parallelism is opt-in: pass ``jobs=N``, or set ``REPRO_JOBS=N`` in the
 environment (``REPRO_JOBS=0`` means one worker per CPU core).  With one
 job — the default — everything runs serially in-process, exactly as
 before this layer existed.
 
-Jobs whose workload factory cannot be pickled (closures, lambdas) fall
-back to serial execution transparently; the picklable factories in
-:mod:`repro.harness.experiments` cover every standard workload.
+Specs that cannot be pickled (closure factories, open telemetry
+handles) fall back to serial execution transparently; the picklable
+factories in :mod:`repro.harness.experiments` cover every standard
+workload, and a telemetry *path string* streams from the worker.
 """
 
 from __future__ import annotations
@@ -24,46 +25,10 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..core.config import ChipConfig
-from .runner import (
-    RunResult,
-    cached_result,
-    run_configured,
-    simulate,
-    store_result,
-)
-
-
-@dataclass(frozen=True)
-class Job:
-    """One simulation point: a config, a workload factory, and bookkeeping."""
-
-    config: ChipConfig
-    factory: Callable[[ChipConfig, int], object]
-    num_nodes: int = 1
-    units_attr: str = "transactions"
-    check_coherence: bool = False
-    cache_key_extra: tuple = ()
-    trace_capacity: int = 0
-    probe_rate: int = 0
-    sample_interval_ps: int = 0
-    #: route through the warm-checkpoint store (restore-or-snapshot at the
-    #: warm-up boundary); execution strategy only — never part of a cache
-    #: key, results are byte-identical either way
-    warmup: bool = False
-    #: causal span tracer: keep up to N transaction span trees in
-    #: ``extras["trace"]`` (0 disables); deterministic, so it folds into
-    #: the cache key and survives the ProcessPool round-trip like metrics
-    trace_spans: int = 0
-    #: host self-profiler 1-in-N event sampling rate (0 disables);
-    #: ``extras["host_profile"]`` comes back through the result pickle
-    profile: int = 0
-    #: telemetry stream target (a *path string* for parallel jobs —
-    #: open handles don't pickle); workers stream from their own process
-    telemetry: Optional[str] = None
+from .runner import RunResult, cached_result, run, simulate, store_result
+from .spec import RunSpec
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -81,82 +46,53 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _execute(job: Job) -> RunResult:
-    """Worker-side entry: plain simulation.  Cache reads and writes stay
-    in the parent so workers never race on the cache directory — with
-    one exception: warm checkpoints are written worker-side (atomic
-    tmp+rename, and distinct points never share a key), because shipping
-    multi-megabyte snapshots back through the result pickle would cost
-    more than the race it avoids."""
-    return simulate(job.config, job.factory, job.num_nodes, job.units_attr,
-                    job.check_coherence, job.trace_capacity,
-                    job.probe_rate, job.sample_interval_ps,
-                    warmup=job.warmup, trace_spans=job.trace_spans,
-                    profile=job.profile, telemetry=job.telemetry)
-
-
-def _run_serial(job: Job) -> RunResult:
-    return run_configured(
-        job.config, job.factory, num_nodes=job.num_nodes,
-        units_attr=job.units_attr, check_coherence=job.check_coherence,
-        cache_key_extra=job.cache_key_extra,
-        trace_capacity=job.trace_capacity,
-        probe_rate=job.probe_rate,
-        sample_interval_ps=job.sample_interval_ps,
-        warmup=job.warmup, trace_spans=job.trace_spans,
-        profile=job.profile, telemetry=job.telemetry,
-    )
-
-
-def _picklable(job: Job) -> bool:
+def _picklable(spec: RunSpec) -> bool:
     try:
-        pickle.dumps(job)
+        pickle.dumps(spec)
         return True
     except Exception:
         return False
 
 
-def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
-             on_result: Optional[Callable[[int, Job, RunResult], None]] = None,
+def run_jobs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
+             on_result: Optional[Callable[[int, RunSpec, RunResult],
+                                          None]] = None,
              ) -> List[RunResult]:
-    """Execute every job, in order, using up to *jobs* worker processes.
+    """Execute every spec, in order, using up to *jobs* worker processes.
 
     Results are returned in input order.  Cached points (memo or disk)
     are answered immediately and never dispatched; fresh results are
-    written back to both caches by the parent.
+    written back to both caches by the parent, so workers never race on
+    the cache directory — with one exception: warm checkpoints are
+    written worker-side (locked first-writer-wins, and distinct points
+    never share a key), because shipping multi-megabyte snapshots back
+    through the result pickle would cost more than the race it avoids.
 
-    *on_result* is invoked in the parent as ``on_result(index, job,
+    *on_result* is invoked in the parent as ``on_result(index, spec,
     result)`` for every completed point (cached answers included), after
     the result has been persisted to the caches — resumable sweeps hang
     their progress manifest on this, so a point marked done in the
     manifest is guaranteed to be answerable from the cache on re-run.
     Completion order is not input order for parallel points.
     """
-    jobs_list = list(jobs_list)
+    specs = list(specs)
     n_workers = resolve_jobs(jobs)
-    results: List[Optional[RunResult]] = [None] * len(jobs_list)
+    results: List[Optional[RunResult]] = [None] * len(specs)
 
     def done(i: int, result: RunResult) -> None:
         results[i] = result
         if on_result is not None:
-            on_result(i, jobs_list[i], result)
+            on_result(i, specs[i], result)
 
     misses: List[int] = []
-    for i, job in enumerate(jobs_list):
-        cached = cached_result(
-            job.config, job.factory, job.num_nodes, job.units_attr,
-            job.check_coherence, job.cache_key_extra, job.trace_capacity,
-            job.probe_rate, job.sample_interval_ps, job.trace_spans,
-            job.profile, job.telemetry)
+    for i, spec in enumerate(specs):
+        cached = cached_result(spec)
         if cached is not None:
             done(i, cached)
         else:
             misses.append(i)
 
-    if not misses:
-        return results  # type: ignore[return-value]
-
-    parallel_idx = [i for i in misses if _picklable(jobs_list[i])]
+    parallel_idx = [i for i in misses if _picklable(specs[i])]
     serial_idx = [i for i in misses if i not in set(parallel_idx)]
     if n_workers <= 1 or len(parallel_idx) <= 1:
         serial_idx = misses
@@ -165,17 +101,12 @@ def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
     if parallel_idx:
         workers = min(n_workers, len(parallel_idx))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = pool.map(_execute, [jobs_list[i] for i in parallel_idx])
+            fresh = pool.map(simulate, [specs[i] for i in parallel_idx])
             for i, result in zip(parallel_idx, fresh):
-                job = jobs_list[i]
-                store_result(result, job.config, job.factory, job.num_nodes,
-                             job.units_attr, job.check_coherence,
-                             job.cache_key_extra, job.trace_capacity,
-                             job.probe_rate, job.sample_interval_ps,
-                             job.trace_spans, job.profile, job.telemetry)
+                store_result(specs[i], result)
                 done(i, result)
 
     for i in serial_idx:
-        done(i, _run_serial(jobs_list[i]))
+        done(i, run(specs[i]))
 
     return results  # type: ignore[return-value]

@@ -1,12 +1,13 @@
 """Experiment runner: build a system, attach a workload, measure.
 
-All figure/table regeneration (``repro.harness.experiments``) goes through
-:func:`run_workload` / :func:`run_configured`, which return a
-:class:`RunResult` with the normalised execution-time breakdown (Figure
-5's CPU-busy / L2-hit / L2-miss decomposition), the L1-miss service
-decomposition (Figure 6b), and a throughput figure of merit.
+Every simulation point is a :class:`~repro.harness.spec.RunSpec`.
+:func:`run` answers it with a :class:`RunResult` carrying the normalised
+execution-time breakdown (Figure 5's CPU-busy / L2-hit / L2-miss
+decomposition), the L1-miss service decomposition (Figure 6b), and a
+throughput figure of merit; :func:`simulate` is the same point uncached.
 
-Simulations are deterministic, so results are cached at two levels:
+Simulations are deterministic, so results are cached at two levels,
+both keyed by the spec's ``result`` digest:
 
 * an in-process **memo** (:class:`MemoCache`) so pytest-benchmark can
   re-invoke a bench without re-simulating, and
@@ -14,36 +15,30 @@ Simulations are deterministic, so results are cached at two levels:
   processes — re-runs of benchmarks, examples, CI — skip simulation
   entirely when the code, config and workload are unchanged.
 
-Set ``REPRO_NO_CACHE=1`` to disable both; :func:`memo_cache_info`
-exposes the memo's contents and hit/miss counters, and every returned
-``RunResult`` carries the current counters in ``extras`` (telemetry
-only — the measurement payload of a RunResult is deterministic, extras
-and ``sim_wall_s`` are not).
+A spec whose factory is opaque (no workload token) has no digest and is
+never cached.  Set ``REPRO_NO_CACHE=1`` to disable both levels;
+:func:`memo_cache_info` exposes the memo's contents and hit/miss
+counters, and every returned ``RunResult`` carries the current counters
+in ``extras`` (telemetry only — the measurement payload of a RunResult
+is deterministic, extras and ``sim_wall_s`` are not).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.checker import CoherenceChecker
-from ..core.config import ChipConfig, preset
 from ..core.system import PiranhaSystem
 from .cache import (
     DISK_CACHE,
     cache_enabled,
     config_digest,
-    result_key,
+    library_fingerprint,
     workload_token,
 )
-
-
-def scale_factor() -> float:
-    """Workload scale: set ``REPRO_SCALE=0.5`` (for example) to shrink the
-    measured phases for quick runs; results get noisier but shapes hold."""
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+from .spec import RunSpec
 
 
 @dataclass
@@ -92,11 +87,11 @@ class MemoCache:
     """In-process RunResult memo with hit/miss counters."""
 
     def __init__(self) -> None:
-        self._store: Dict[tuple, RunResult] = {}
+        self._store: Dict[str, RunResult] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple) -> Optional[RunResult]:
+    def get(self, key: str) -> Optional[RunResult]:
         result = self._store.get(key)
         if result is None:
             self.misses += 1
@@ -104,7 +99,7 @@ class MemoCache:
             self.hits += 1
         return result
 
-    def put(self, key: tuple, result: RunResult) -> None:
+    def put(self, key: str, result: RunResult) -> None:
         self._store[key] = result
 
     def clear(self) -> None:
@@ -116,7 +111,7 @@ class MemoCache:
             "entries": len(self._store),
             "hits": self.hits,
             "misses": self.misses,
-            "keys": sorted(str(k) for k in self._store),
+            "keys": sorted(self._store),
         }
 
 
@@ -133,147 +128,46 @@ def memo_cache_info() -> Dict[str, object]:
     return _MEMO.info()
 
 
-def _memo_key(config: ChipConfig, workload_factory: Callable,
-              num_nodes: int, units_attr: str, check_coherence: bool,
-              cache_key_extra: tuple) -> tuple:
-    token = workload_token(workload_factory)
-    if token is None:
-        # opaque callable: fall back to its qualname; cache_key_extra is
-        # the caller's discriminator (as it was before disk caching)
-        token = getattr(workload_factory, "__qualname__",
-                        type(workload_factory).__qualname__)
-    return (config_digest(config), token, num_nodes, units_attr,
-            check_coherence, cache_key_extra)
 
 
-def _trace_key_extra(cache_key_extra: tuple, trace_capacity: int) -> tuple:
-    """Fold the trace setting into the cache discriminator: a traced run
-    records different extras (``trace_events``) than an untraced one."""
-    if not trace_capacity:
-        return cache_key_extra
-    return cache_key_extra + (("trace", trace_capacity),)
+def build_system(spec: RunSpec) -> Tuple[PiranhaSystem, object]:
+    """Assemble the ready-to-run (system, workload) pair a spec describes.
 
-
-def _obs_key_extra(cache_key_extra: tuple, probe_rate: int,
-                   sample_interval_ps: int) -> tuple:
-    """Fold the observability settings into the cache discriminator: a
-    probed/sampled run carries the ``metrics`` document in its extras,
-    so it must not answer (or be answered by) an unprobed cache entry."""
-    if probe_rate:
-        cache_key_extra = cache_key_extra + (("probes", probe_rate),)
-    if sample_interval_ps:
-        cache_key_extra = cache_key_extra + (("sample", sample_interval_ps),)
-    return cache_key_extra
-
-
-def _flightdeck_key_extra(cache_key_extra: tuple, trace_spans: int,
-                          profile: int, telemetry) -> tuple:
-    """Fold the flight-deck settings into the cache discriminator.
-
-    A span-traced run carries ``extras["trace"]`` and a profiled run
-    ``extras["host_profile"]``, so neither may answer (or be answered
-    by) a plain entry.  Span tracing also implies probes (the tracer
-    consumes probe completions), which changes the payload-adjacent
-    metrics document.  Telemetry folds as a bare enable marker — the
-    stream target is host-specific and the simulated payload identical
-    — so a repeat of a streamed run answers from cache (without
-    re-streaming; the CLI reports the hit instead).
+    Shared by the cold path of :func:`simulate`, the service worker and
+    the CLI (``run``, ``report``, ``trace``, ``checkpoint save``), so a
+    warm snapshot is taken of exactly the machine a measurement run
+    would build, and the CLI measures exactly what the harness does.
     """
-    if trace_spans:
-        cache_key_extra = cache_key_extra + (("spans", trace_spans),)
-    if profile:
-        cache_key_extra = cache_key_extra + (("profile", profile),)
-    if telemetry is not None:
-        cache_key_extra = cache_key_extra + (("telemetry", 1),)
-    return cache_key_extra
-
-
-#: probe rate implied by ``trace_spans`` when probes were not requested
-#: explicitly: the tracer needs probe completions to promote.
-SPAN_PROBE_RATE = 64
-
-#: sampled-mode defaults, applied identically by :func:`simulate` (to the
-#: run) and :func:`_sampled_key_extra` (to the cache key) so a default
-#: change can never let an old cache entry answer for a new default
-SAMPLED_WINDOW = 800
-SAMPLED_PERIOD = 6000
-
-
-def _sampled_key_extra(cache_key_extra: tuple, mode: str, window: int,
-                       period: int, warming: str) -> tuple:
-    """Fold the sampled-mode settings into the cache discriminator: a
-    sampled run's payload is a statistical estimate (with its own
-    ``extras["sampling"]`` document), so it must never answer for — or be
-    answered by — a detailed run of the same point.  Window/period fold
-    at their *effective* (default-resolved) values."""
-    if mode == "detailed":
-        return cache_key_extra
-    return cache_key_extra + (("sampled", mode, window or SAMPLED_WINDOW,
-                               period or SAMPLED_PERIOD, warming),)
-
-
-def build_system(
-    config: ChipConfig,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    check_coherence: bool = False,
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
-) -> Tuple[PiranhaSystem, object]:
-    """Assemble a ready-to-run (system, workload) pair.
-
-    Shared by the cold path of :func:`simulate` and the CLI's
-    ``checkpoint save`` verb, so a warm snapshot is taken of exactly the
-    machine a measurement run would build.
-
-    ``trace_spans=N`` attaches the causal span tracer (keeping up to N
-    transactions), implying probes at :data:`SPAN_PROBE_RATE` when none
-    were requested; ``profile=N`` attaches the host self-profiler at a
-    1-in-N event sampling rate.
-    """
-    workload = workload_factory(config, num_nodes)
+    workload = spec.factory(spec.config, spec.nodes)
     checker = None
-    if check_coherence or trace_capacity:
-        checker = (CoherenceChecker.with_trace(trace_capacity)
-                   if trace_capacity else CoherenceChecker())
-    system = PiranhaSystem(config, num_nodes=num_nodes, checker=checker)
+    if spec.check or spec.trace_capacity:
+        checker = (CoherenceChecker.with_trace(spec.trace_capacity)
+                   if spec.trace_capacity else CoherenceChecker())
+    system = PiranhaSystem(spec.config, num_nodes=spec.nodes,
+                           checker=checker)
     system.attach_workload(workload)
     bind_system = getattr(workload, "bind_system", None)
     if bind_system is not None:
         # workloads that observe the live system (the fuzz reference
         # checker) wire themselves up once everything is built
         bind_system(system)
-    if check_coherence:
+    if spec.check:
         system.enable_continuous_audit()
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    if probe_rate:
-        system.enable_probes(probe_rate)
-    if trace_spans:
-        system.enable_span_trace(trace_spans)
-    if sample_interval_ps:
-        system.enable_sampler(sample_interval_ps)
-    if profile:
+    if spec.probe_rate:
+        system.enable_probes(spec.probe_rate)
+    if spec.trace_spans:
+        system.enable_span_trace(spec.trace_spans)
+    if spec.sample_interval_ps:
+        system.enable_sampler(spec.sample_interval_ps)
+    if spec.profile:
         from ..observe.hostprof import HostProfiler
 
-        system.sim.profiler = HostProfiler(profile)
+        system.sim.profiler = HostProfiler(spec.profile)
     return system, workload
 
 
-def assemble_result(
-    system: PiranhaSystem,
-    workload,
-    config: ChipConfig,
-    num_nodes: int,
-    units_attr: str,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    wall: float = 0.0,
-    trace_spans: int = 0,
-) -> RunResult:
+def assemble_result(system: PiranhaSystem, spec: RunSpec,
+                    wall: float = 0.0) -> RunResult:
     """Measure a drained system into a :class:`RunResult`.
 
     One assembly implementation for the cold, warm-restored and
@@ -284,10 +178,12 @@ def assemble_result(
     if system.checker is not None:
         sanitizer = system.verify()
 
-    units = getattr(workload.params, units_attr)
+    config = spec.config
+    workload = system.workload
+    units = getattr(workload.params, spec.units_attr)
     per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
     time_per_unit_ns = per_cpu_ps / units / 1000.0
-    total_cpus = config.cpus * num_nodes
+    total_cpus = config.cpus * spec.nodes
     throughput = total_cpus * 1e9 / time_per_unit_ns
 
     summary = system.execution_summary()
@@ -298,7 +194,7 @@ def assemble_result(
     result = RunResult(
         config=config.name,
         cpus=config.cpus,
-        nodes=num_nodes,
+        nodes=spec.nodes,
         workload=getattr(workload, "name", "?"),
         units=units,
         time_per_unit_ns=time_per_unit_ns,
@@ -312,15 +208,14 @@ def assemble_result(
         sim_wall_s=wall,
         extras=dict(sanitizer),
     )
-    if probe_rate or sample_interval_ps:
+    if spec.probe_rate or spec.sample_interval_ps:
         from .metrics import metrics_doc
 
         # deterministic (simulation-state-only), so it is safe to cache
         # and identical across the serial and ProcessPool paths
         result.extras["metrics"] = metrics_doc(
-            system, result, probe_rate, sample_interval_ps)
-    _attach_flightdeck_extras(result, system, config, num_nodes, probe_rate,
-                              trace_spans)
+            system, result, spec.probe_rate, spec.sample_interval_ps)
+    _attach_flightdeck_extras(result, system, spec)
     post_run = getattr(workload, "post_run", None)
     if post_run is not None:
         # end-of-run workload audit (fuzz residue check + telemetry);
@@ -329,24 +224,7 @@ def assemble_result(
     return result
 
 
-def simulate(
-    config: ChipConfig,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> RunResult:
+def simulate(spec: RunSpec) -> RunResult:
     """Run one simulation point, uncached.
 
     This is the single shared measurement implementation: the runner, the
@@ -354,72 +232,47 @@ def simulate(
     here, so the busy/L2/mem fractions and the miss breakdown cannot
     drift between entry points.
 
-    ``check_coherence=True`` attaches the protocol sanitizer: the
-    continuous mid-run audit set plus the full quiesce audit via
-    :meth:`~repro.core.system.PiranhaSystem.verify` — exactly what the
-    CLI ``--check`` path runs — with the audit telemetry merged into
-    ``RunResult.extras`` (so it survives the ProcessPool round-trip).
-    ``trace_capacity`` additionally attaches a ring-buffered protocol
-    trace of that many events; violations then carry the per-line event
-    history.
+    ``spec.check`` attaches the protocol sanitizer (the continuous
+    mid-run audit set plus the full quiesce audit via
+    :meth:`~repro.core.system.PiranhaSystem.verify`), with the audit
+    telemetry merged into ``RunResult.extras``; ``trace_capacity`` adds
+    a ring-buffered protocol trace whose per-line history violations
+    carry.  ``probe_rate``/``sample_interval_ps`` make the structured
+    metrics document appear in ``extras["metrics"]``
+    (:mod:`repro.harness.metrics`); ``trace_spans`` keeps a
+    ``repro-trace/1`` span document in ``extras["trace"]`` and
+    ``profile`` a host-profile report in ``extras["host_profile"]``.
 
-    ``probe_rate=N`` tags one of every N L1 misses with a latency probe,
-    and ``sample_interval_ps`` attaches the interval time-series sampler;
-    either one makes the structured metrics document appear in
-    ``extras["metrics"]`` (see :mod:`repro.harness.metrics`).
-
-    ``warmup=True`` routes through the warm-checkpoint store
-    (:mod:`repro.checkpoint.store`): on a hit the machine is restored at
-    its warm-up boundary and only the measurement phase is simulated; on
-    a miss the cold run additionally snapshots itself at the boundary so
-    every later run of this (config, workload) point — other sweep
-    points, ``--resume``, parallel workers — skips the warm-up.  The
-    measurement payload is byte-identical either way (tested), so the
-    flag is deliberately *not* part of any result-cache key.
+    ``spec.warmup`` routes through the warm-checkpoint store
+    (:mod:`repro.checkpoint.store`), keyed by the spec's ``warm``
+    digest: on a hit the machine is restored at its warm-up boundary and
+    only the measurement phase is simulated; on a miss the cold run
+    snapshots itself at the boundary for every later run of the point.
+    The payload is byte-identical either way, which is why ``warmup`` is
+    neutral in the result key.
 
     ``mode="sampled"`` switches to SMARTS-style sampled simulation
-    (:mod:`repro.fastforward`): the machine fast-forwards through
-    functional warming and runs only short detailed measurement windows
-    (``window`` items per CPU) every ``period`` items, handing off
-    between regimes through the checkpoint subsystem.  The result's
-    totals are extrapolated estimates and ``extras["sampling"]`` carries
-    per-metric-class 95% confidence intervals.  ``warmup=True`` composes
-    with sampled mode through the same warm store (under a variant key —
-    sampled snapshots park their CPUs at the boundary, so they never
-    answer a detailed ``warmup=True`` run or vice versa): the first
-    sampled run pays the functional warm-up and persists the boundary
-    snapshot; every later sampled run of the point restores it and pays
-    only the measurement windows, which is where the large sampled
-    speedups live.
+    (:mod:`repro.fastforward`): functional fast-forward with short
+    detailed windows, extrapolated totals and per-class 95% confidence
+    intervals in ``extras["sampling"]``.  It composes with ``warmup``
+    through the same store under a ``sampled-<warming>`` variant key.
 
-    ``trace_spans=N`` keeps a causal span trace of up to N transactions
-    in ``extras["trace"]`` (a ``repro-trace/1`` document, also
-    Perfetto-loadable); ``profile=N`` attaches the host self-profiler at
-    a 1-in-N event rate and reports via ``extras["host_profile"]``;
-    ``telemetry`` (a path, fd, file-like object, or
-    :class:`~repro.observe.telemetry.TelemetryStream`) streams live
-    heartbeat/interval/window/run-end records as the simulation runs.
+    ``spec.telemetry`` streams live run-start/interval/window/run-end
+    records as the simulation runs.
     """
     wall0 = time.time()
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    stream = _open_telemetry(telemetry)
+    stream = _open_telemetry(spec.telemetry)
     try:
-        result = _simulate_inner(
-            config, workload_factory, num_nodes, units_attr,
-            check_coherence, trace_capacity, probe_rate,
-            sample_interval_ps, warmup, mode, window, period, warming,
-            trace_spans, profile, stream, wall0)
+        return _simulate(spec, stream, wall0)
     finally:
-        if stream is not None and stream is not telemetry:
+        if stream is not None and stream is not spec.telemetry:
             stream.close()
-    return result
 
 
 def _open_telemetry(telemetry):
     """Normalise a telemetry target into a TelemetryStream (or None).
     Callers close streams they opened; a caller-supplied stream is left
-    open (the CLI reuses its stream for the cached-answer banner)."""
+    open."""
     if telemetry is None:
         return None
     from ..observe.telemetry import TelemetryStream
@@ -429,145 +282,101 @@ def _open_telemetry(telemetry):
     return TelemetryStream(telemetry)
 
 
-def _simulate_inner(
-    config, workload_factory, num_nodes, units_attr, check_coherence,
-    trace_capacity, probe_rate, sample_interval_ps, warmup, mode, window,
-    period, warming, trace_spans, profile, stream, wall0,
-) -> RunResult:
+def _warm_start(spec: RunSpec):
+    """``(restored system or None, persist callback or None)`` for a
+    ``warmup`` spec.  ``persist(payload, sim_now)`` files the boundary
+    snapshot; opaque workloads (no warm digest) are never stored."""
+    from ..checkpoint import WARM_STORE, build_manifest, restore_system
+
+    key = spec.digest("warm")
+    hit = WARM_STORE.get(key)
+    if hit is not None:
+        return restore_system(hit[1]), None
+    if key is None:
+        return None, None
+
+    def persist(payload: bytes, sim_now: int) -> None:
+        WARM_STORE.put(key, build_manifest(
+            payload,
+            fingerprint=library_fingerprint(),
+            config_digest=config_digest(spec.config),
+            workload=workload_token(spec.factory),
+            nodes=spec.nodes,
+            sim_now=sim_now,
+        ), payload)
+
+    return None, persist
+
+
+def _simulate(spec: RunSpec, stream, wall0: float) -> RunResult:
     if stream is not None:
         stream.emit(
-            "run_start", config=config.name,
-            workload=workload_token(workload_factory), num_nodes=num_nodes,
-            mode=mode, probe_rate=probe_rate,
-            sample_interval_ps=sample_interval_ps, trace_spans=trace_spans,
-            profile=profile)
-    if mode == "sampled":
+            "run_start", config=spec.config.name,
+            workload=workload_token(spec.factory), num_nodes=spec.nodes,
+            mode=spec.mode, probe_rate=spec.probe_rate,
+            sample_interval_ps=spec.sample_interval_ps,
+            trace_spans=spec.trace_spans, profile=spec.profile)
+    system = persist = None
+    if spec.warmup:
+        system, persist = _warm_start(spec)
+    restored = system is not None
+    if not restored:
+        system, _workload = build_system(spec)
+    _arm_flightdeck(system, spec, stream)
+    if spec.mode == "sampled":
         from ..fastforward import SampledRun
 
-        skip_warm = False
         on_warm = None
-        system = None
-        if warmup:
-            from ..checkpoint import (WARM_STORE, build_manifest,
-                                      restore_system, snapshot_bytes,
-                                      warm_key)
-            from .cache import library_fingerprint
+        if persist is not None:
+            from ..checkpoint import snapshot_bytes
 
-            key = warm_key(config, workload_factory, num_nodes, units_attr,
-                           check_coherence, trace_capacity, probe_rate,
-                           sample_interval_ps, variant="sampled-" + warming)
-            hit = WARM_STORE.get(key)
-            if hit is not None:
-                _manifest, payload = hit
-                system = restore_system(payload)
-                workload = system.workload
-                skip_warm = True
-            elif key is not None:
-                def on_warm(sys_, _key=key):
-                    payload = snapshot_bytes(sys_)
-                    WARM_STORE.put(_key, build_manifest(
-                        payload,
-                        fingerprint=library_fingerprint(),
-                        config_digest=config_digest(config),
-                        workload=workload_token(workload_factory),
-                        nodes=sys_.num_nodes,
-                        sim_now=sys_.sim.now,
-                    ), payload)
-        if system is None:
-            system, workload = build_system(
-                config, workload_factory, num_nodes, check_coherence,
-                trace_capacity, probe_rate, sample_interval_ps)
-        _arm_flightdeck(system, trace_spans, profile, stream)
+            def on_warm(sys_) -> None:
+                persist(snapshot_bytes(sys_), sys_.sim.now)
+
         # handoff="none": batch measurement needs no in-memory window
         # captures (those serve the gate / CLI inspection paths); the
         # persistent warm-boundary snapshot above is unaffected
-        run = SampledRun(system, window=window or SAMPLED_WINDOW,
-                         period=period or SAMPLED_PERIOD, warming=warming,
-                         handoff="none", skip_warm=skip_warm, on_warm=on_warm,
-                         telemetry=stream)
-        run.run()
-        result = run.to_result(config, num_nodes, units_attr, probe_rate,
-                               sample_interval_ps, time.time() - wall0)
-        _attach_flightdeck_extras(result, system, config, num_nodes,
-                                  probe_rate, trace_spans)
-        _emit_run_end(stream, result)
-        return result
-    if mode != "detailed":
-        raise ValueError(f"unknown simulation mode {mode!r}")
-    if warmup:
-        from ..checkpoint import (WARM_STORE, WarmCapture, build_manifest,
-                                  restore_system, warm_key)
-        from .cache import library_fingerprint
-
-        key = warm_key(config, workload_factory, num_nodes, units_attr,
-                       check_coherence, trace_capacity, probe_rate,
-                       sample_interval_ps)
-        hit = WARM_STORE.get(key)
-        if hit is not None:
-            _manifest, payload = hit
-            system = restore_system(payload)
-            workload = system.workload
-            _arm_flightdeck(system, trace_spans, profile, stream)
-            system.run_to_completion()  # start() is a no-op: pure resume
-        else:
-            system, workload = build_system(
-                config, workload_factory, num_nodes, check_coherence,
-                trace_capacity, probe_rate, sample_interval_ps)
-
-            def persist(payload: bytes, sim_now: int) -> None:
-                # at the boundary, before the measurement phase: a run
-                # killed mid-measurement still leaves warm state behind
-                WARM_STORE.put(key, build_manifest(
-                    payload,
-                    fingerprint=library_fingerprint(),
-                    config_digest=config_digest(config),
-                    workload=workload_token(workload_factory),
-                    nodes=system.num_nodes,
-                    sim_now=sim_now,
-                ), payload)
-
-            if key is not None:
-                # opaque workloads (no stable token) cannot be stored;
-                # skip the snapshot cost entirely
-                WarmCapture(system, sink=persist)
-            _arm_flightdeck(system, trace_spans, profile, stream)
-            system.run_to_completion()
+        run_ = SampledRun(system, window=spec.window, period=spec.period,
+                          warming=spec.warming, handoff="none",
+                          skip_warm=restored, on_warm=on_warm,
+                          telemetry=stream)
+        run_.run()
+        result = run_.to_result(spec.config, spec.nodes, spec.units_attr,
+                                spec.probe_rate, spec.sample_interval_ps,
+                                time.time() - wall0)
+        _attach_flightdeck_extras(result, system, spec)
     else:
-        system, workload = build_system(
-            config, workload_factory, num_nodes, check_coherence,
-            trace_capacity, probe_rate, sample_interval_ps)
-        _arm_flightdeck(system, trace_spans, profile, stream)
-        system.run_to_completion()
-    wall = time.time() - wall0
-    result = assemble_result(system, workload, config, num_nodes, units_attr,
-                             probe_rate, sample_interval_ps, wall,
-                             trace_spans=trace_spans)
+        if persist is not None:
+            from ..checkpoint import WarmCapture
+
+            # at the boundary, before the measurement phase: a run
+            # killed mid-measurement still leaves warm state behind
+            WarmCapture(system, sink=persist)
+        system.run_to_completion()  # start() is a no-op on a restore
+        result = assemble_result(system, spec, time.time() - wall0)
     _emit_run_end(stream, result)
     return result
 
 
-def _arm_flightdeck(system: PiranhaSystem, trace_spans: int, profile: int,
-                    stream) -> None:
+def _arm_flightdeck(system: PiranhaSystem, spec: RunSpec, stream) -> None:
     """(Re)arm or disarm the flight-deck observers on a system.
 
-    Covers two situations the cold :func:`build_system` path cannot: a
-    system restored from a warm snapshot (whose pickled state reflects
-    whatever observers the *snapshotting* run had armed — this run's
-    settings must win), and attaching the host-side telemetry stream,
-    which is never built into a system.
+    A system restored from a warm snapshot carries whatever observers
+    the *snapshotting* run had armed — this spec's settings must win —
+    and the host-side telemetry stream is never built into a system.
     """
-    if trace_spans:
+    if spec.trace_spans:
         if system.spans is None and system.probes is not None:
-            system.enable_span_trace(trace_spans)
+            system.enable_span_trace(spec.trace_spans)
     elif system.spans is not None:
         system.spans = None
         if system.probes is not None:
             system.probes.on_finish = None
-    if profile:
+    if spec.profile:
         if system.sim.profiler is None:
             from ..observe.hostprof import HostProfiler
 
-            system.sim.profiler = HostProfiler(profile)
+            system.sim.profiler = HostProfiler(spec.profile)
     else:
         system.sim.profiler = None
     if stream is not None and system.sampler is not None:
@@ -575,27 +384,25 @@ def _arm_flightdeck(system: PiranhaSystem, trace_spans: int, profile: int,
 
 
 def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
-                              config: ChipConfig, num_nodes: int,
-                              probe_rate: int, trace_spans: int) -> None:
+                              spec: RunSpec) -> None:
     """Attach the span-trace document and the host-profile report.
 
     Shared by :func:`assemble_result` (detailed runs) and the sampled
     path (``SampledRun.to_result`` assembles its own payload, so the
     extras are grafted on afterwards).  The trace doc is deterministic
     for the same reason the metrics doc is — built purely from
-    simulation state (probe stamps carry simulated time, kept txns drop
-    the process-global txn_id) — so it is safe to cache.  The host
-    profile is wall-clock and therefore NOT deterministic: fine in
-    ``extras`` (like ``sim_wall_s``), never in the payload.
+    simulation state — so it is safe to cache.  The host profile is
+    wall-clock and therefore NOT deterministic: fine in ``extras`` (like
+    ``sim_wall_s``), never in the payload.
     """
-    if trace_spans and system.spans is not None:
+    if spec.trace_spans and system.spans is not None:
         from ..observe.spans import trace_doc
 
         protocol_events = None
         if system.checker is not None and system.checker.trace is not None:
             protocol_events = system.checker.trace.events()
         result.extras["trace"] = trace_doc(
-            system.spans, config.name, num_nodes, probe_rate,
+            system.spans, spec.config.name, spec.nodes, spec.probe_rate,
             protocol_events)
     profiler = system.sim.profiler
     if profiler is not None:
@@ -617,166 +424,51 @@ def _attach_telemetry(result: RunResult) -> RunResult:
     return result
 
 
-def cached_result(
-    config: ChipConfig,
-    workload_factory: Callable,
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> Optional[RunResult]:
-    """Memo/disk lookup for one point; None on miss (or caching off)."""
+def cached_result(spec: RunSpec) -> Optional[RunResult]:
+    """Memo/disk lookup for one point; None on a miss, with caching off,
+    or for an opaque factory."""
     if not cache_enabled():
         return None
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    cache_key_extra = _trace_key_extra(cache_key_extra, trace_capacity)
-    cache_key_extra = _obs_key_extra(cache_key_extra, probe_rate,
-                                     sample_interval_ps)
-    cache_key_extra = _flightdeck_key_extra(cache_key_extra, trace_spans,
-                                            profile, telemetry)
-    memo_key = _memo_key(config, workload_factory, num_nodes, units_attr,
-                         check_coherence, cache_key_extra)
-    result = _MEMO.get(memo_key)
-    if result is not None:
-        return _attach_telemetry(result)
-    disk_key = result_key(config, workload_factory, num_nodes, units_attr,
-                          check_coherence, cache_key_extra)
-    result = DISK_CACHE.get(disk_key)
-    if result is not None:
-        _MEMO.put(memo_key, result)
-        return _attach_telemetry(result)
-    return None
-
-
-def store_result(
-    result: RunResult,
-    config: ChipConfig,
-    workload_factory: Callable,
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> None:
-    """Record a freshly simulated point in the memo and disk caches."""
-    if not cache_enabled():
-        return
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    cache_key_extra = _trace_key_extra(cache_key_extra, trace_capacity)
-    cache_key_extra = _obs_key_extra(cache_key_extra, probe_rate,
-                                     sample_interval_ps)
-    cache_key_extra = _flightdeck_key_extra(cache_key_extra, trace_spans,
-                                            profile, telemetry)
-    _MEMO.put(_memo_key(config, workload_factory, num_nodes, units_attr,
-                        check_coherence, cache_key_extra), result)
-    DISK_CACHE.put(
-        result_key(config, workload_factory, num_nodes, units_attr,
-                   check_coherence, cache_key_extra), result)
-
-
-def run_configured(
-    config: ChipConfig,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> RunResult:
-    """Simulate one explicit configuration, with two-level caching.
-
-    ``warmup`` is execution strategy, not measurement identity: it feeds
-    :func:`simulate` but stays out of the cache keys, because the warm
-    and cold paths produce byte-identical results.  The sampled-mode
-    settings *are* measurement identity (the payload is an estimate), so
-    they fold into the cache keys via :func:`_sampled_key_extra` — as do
-    the flight-deck settings (:func:`_flightdeck_key_extra`), whose
-    extras documents ride the cached result.  A cache hit for a
-    telemetry-enabled point answers without streaming; the terminal
-    ``run_end`` record (marked ``cached``) is still emitted so a watcher
-    sees the run conclude.
-    """
-    cache_key_extra = _sampled_key_extra(cache_key_extra, mode, window,
-                                         period, warming)
-    cached = cached_result(config, workload_factory, num_nodes, units_attr,
-                           check_coherence, cache_key_extra, trace_capacity,
-                           probe_rate, sample_interval_ps, trace_spans,
-                           profile, telemetry)
-    if cached is not None:
-        if telemetry is not None:
-            stream = _open_telemetry(telemetry)
-            try:
-                _emit_run_end(stream, cached, cached=True)
-            finally:
-                if stream is not telemetry:
-                    stream.close()
-        return cached
-    result = simulate(config, workload_factory, num_nodes, units_attr,
-                      check_coherence, trace_capacity, probe_rate,
-                      sample_interval_ps, warmup=warmup, mode=mode,
-                      window=window, period=period, warming=warming,
-                      trace_spans=trace_spans, profile=profile,
-                      telemetry=telemetry)
-    store_result(result, config, workload_factory, num_nodes, units_attr,
-                 check_coherence, cache_key_extra, trace_capacity,
-                 probe_rate, sample_interval_ps, trace_spans, profile,
-                 telemetry)
+    key = spec.digest("result")
+    if key is None:
+        return None
+    result = _MEMO.get(key)
+    if result is None:
+        result = DISK_CACHE.get(key)
+        if result is None:
+            return None
+        _MEMO.put(key, result)
     return _attach_telemetry(result)
 
 
-def run_workload(
-    config_name: str,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> RunResult:
-    """Simulate one preset configuration under one workload.
+def store_result(spec: RunSpec, result: RunResult) -> None:
+    """Record a freshly simulated point in the memo and disk caches."""
+    if not cache_enabled():
+        return
+    key = spec.digest("result")
+    if key is None:
+        return
+    _MEMO.put(key, result)
+    DISK_CACHE.put(key, result)
 
-    ``workload_factory(config, num_nodes)`` builds the workload; its
-    ``params.<units_attr>`` gives the measured units per CPU.
+
+def run(spec: RunSpec) -> RunResult:
+    """Answer one point from the caches, or simulate and record it.
+
+    A cache hit for a telemetry-enabled point answers without streaming;
+    the terminal ``run_end`` record (marked ``cached``) is still emitted
+    so a watcher sees the run conclude.
     """
-    return run_configured(
-        preset(config_name), workload_factory, num_nodes=num_nodes,
-        units_attr=units_attr, check_coherence=check_coherence,
-        cache_key_extra=cache_key_extra, trace_capacity=trace_capacity,
-        probe_rate=probe_rate, sample_interval_ps=sample_interval_ps,
-        warmup=warmup, mode=mode, window=window, period=period,
-        warming=warming, trace_spans=trace_spans, profile=profile,
-        telemetry=telemetry,
-    )
+    cached = cached_result(spec)
+    if cached is not None:
+        if spec.telemetry is not None:
+            stream = _open_telemetry(spec.telemetry)
+            try:
+                _emit_run_end(stream, cached, cached=True)
+            finally:
+                if stream is not spec.telemetry:
+                    stream.close()
+        return cached
+    result = simulate(spec)
+    store_result(spec, result)
+    return _attach_telemetry(result)

@@ -5,9 +5,13 @@ or more :class:`~repro.core.config.ChipConfig` fields) and collects
 RunResult-style records — the machinery behind the cores-vs-cache and
 keep-open sweeps, reusable for ad-hoc studies::
 
+    from repro.harness import OltpFactory, RunSpec
     from repro.harness.sweep import sweep_field
-    results = sweep_field("P8", oltp_factory, "l2.size_bytes",
-                          [512 << 10, 1 << 20, 2 << 20], jobs=4)
+    results = sweep_field(RunSpec(preset("P8"), OltpFactory()),
+                          "l2.size_bytes", [512 << 10, 1 << 20, 2 << 20],
+                          jobs=4)
+
+The base spec describes every point; only its config varies.
 
 Sweep points are independent simulations, so they parallelise across
 processes: pass ``jobs=N`` (or set ``REPRO_JOBS``) to fan out via
@@ -23,13 +27,13 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..core.config import ChipConfig, preset
-from .cache import (cache_dir, cache_enabled, config_digest,
-                    library_fingerprint, workload_token)
-from .parallel import Job, run_jobs
-from .runner import RunResult, run_configured
+from ..core.config import ChipConfig
+from .cache import cache_dir, cache_enabled
+from .parallel import run_jobs
+from .runner import RunResult
+from .spec import RunSpec
 
 
 def parse_sweep_value(text: str):
@@ -94,20 +98,6 @@ def record_from_result(result: RunResult) -> Dict:
     }
 
 
-def run_config(config: ChipConfig, workload_factory: Callable,
-               num_nodes: int = 1, units_attr: str = "transactions",
-               check_coherence: bool = False) -> Dict:
-    """Simulate one configuration; returns a metrics dict.
-
-    Delegates to :func:`repro.harness.runner.run_configured`, the single
-    shared measurement implementation (metric assembly used to be
-    duplicated here and could drift from the runner's)."""
-    return record_from_result(
-        run_configured(config, workload_factory, num_nodes=num_nodes,
-                       units_attr=units_attr,
-                       check_coherence=check_coherence))
-
-
 def sweep_configs(base: ChipConfig, dotted: str,
                   values: Sequence) -> List[ChipConfig]:
     """Materialise the derived configuration for each swept value."""
@@ -119,28 +109,17 @@ def sweep_configs(base: ChipConfig, dotted: str,
     return out
 
 
-def sweep_key(base_config: ChipConfig, workload_factory: Callable,
-              dotted: str, values: Sequence, num_nodes: int,
-              units_attr: str, check_coherence: bool) -> Optional[str]:
-    """Stable identity of one sweep (for its progress manifest), or None
+def sweep_key(spec: RunSpec, dotted: str,
+              values: Sequence) -> Optional[str]:
+    """Stable identity of one sweep (for its progress manifest): the base
+    spec's ``result`` digest plus the swept field and values, or None
     when the workload factory is opaque (nothing resumable to key on)."""
-    token = workload_token(workload_factory)
-    if token is None:
+    base = spec.digest("result")
+    if base is None:
         return None
     payload = json.dumps(
-        {
-            "lib": library_fingerprint(),
-            "base": config_digest(base_config),
-            "field": dotted,
-            "values": [str(v) for v in values],
-            "workload": token,
-            "nodes": num_nodes,
-            "units_attr": units_attr,
-            "check": bool(check_coherence),
-            "scale": os.environ.get("REPRO_SCALE", "1.0"),
-        },
-        sort_keys=True,
-    )
+        {"base": base, "field": dotted, "values": [str(v) for v in values]},
+        sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -174,24 +153,22 @@ def _write_manifest(key: str, manifest: Dict) -> None:
             pass
 
 
-def sweep_field(base, workload_factory: Callable, dotted: str,
-                values: Sequence, num_nodes: int = 1,
-                units_attr: str = "transactions",
+def sweep_field(spec: RunSpec, dotted: str, values: Sequence,
                 jobs: Optional[int] = None,
-                check_coherence: bool = False,
-                warmup: bool = False,
                 resume: bool = False) -> List[Dict]:
-    """Sweep one config field over *values*; returns one record per point
-    (with the swept value under ``"value"``).
+    """Sweep one config field of *spec* over *values*; returns one record
+    per point (with the swept value under ``"value"``).
+
+    Every point is *spec* with its config derived from ``spec.config``,
+    so the workload, node count, sanitizer, observers and mode apply to
+    all of them (a ``check`` violation raises out of the sweep).
 
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
     fans the points out across worker processes; records are identical to
-    a serial sweep regardless of the worker count.  ``check_coherence``
-    runs every point under the protocol sanitizer (any violation raises
-    out of the sweep).
+    a serial sweep regardless of the worker count.
 
-    ``warmup`` routes every point through the warm-checkpoint store —
-    note the points of a *field* sweep have distinct configs and so
+    ``spec.warmup`` routes every point through the warm-checkpoint store
+    — note the points of a *field* sweep have distinct configs and so
     distinct warm snapshots; the amortisation is across re-runs of the
     same sweep, i.e. exactly the ``resume`` scenario.  ``resume``
     (implies ``warmup``) additionally maintains a progress manifest under
@@ -201,46 +178,28 @@ def sweep_field(base, workload_factory: Callable, dotted: str,
     only the remaining work.
     """
     if resume:
-        warmup = True
-    base_config = preset(base) if isinstance(base, str) else base
-    configs = sweep_configs(base_config, dotted, values)
+        spec = spec.replace(warmup=True)
+    configs = sweep_configs(spec.config, dotted, values)
 
-    key = None
-    manifest = None
     on_result = None
-    if resume and cache_enabled():
-        key = sweep_key(base_config, workload_factory, dotted, values,
-                        num_nodes, units_attr, check_coherence)
-        if key is not None:
-            manifest = load_manifest(key) or {
-                "field": dotted,
-                "values": [str(v) for v in values],
-                "total": len(values),
-                "done": [],
-            }
-            # a manifest from a partial run with different values (the
-            # key folds values in, so this means a hash collision or
-            # hand-editing): start clean rather than trust it
-            if manifest.get("total") != len(values):
-                manifest = {"field": dotted,
-                            "values": [str(v) for v in values],
-                            "total": len(values), "done": []}
+    key = sweep_key(spec, dotted, values) if resume and cache_enabled() \
+        else None
+    if key is not None:
+        fresh = {"field": dotted, "values": [str(v) for v in values],
+                 "total": len(values), "done": []}
+        manifest = load_manifest(key) or fresh
+        # a manifest from a partial run with different values (the key
+        # folds values in, so this means a hash collision or
+        # hand-editing): start clean rather than trust it
+        if manifest.get("total") != len(values):
+            manifest = fresh
 
-            def on_result(i: int, _job: Job, _result: RunResult,
-                          _key: str = key) -> None:
-                done = set(manifest["done"])
-                done.add(i)
-                manifest["done"] = sorted(done)
-                _write_manifest(_key, manifest)
+        def on_result(i: int, _spec: RunSpec, _result: RunResult) -> None:
+            manifest["done"] = sorted(set(manifest["done"]) | {i})
+            _write_manifest(key, manifest)
 
-    results = run_jobs(
-        [Job(config=c, factory=workload_factory, num_nodes=num_nodes,
-             units_attr=units_attr, check_coherence=check_coherence,
-             warmup=warmup)
-         for c in configs],
-        jobs=jobs,
-        on_result=on_result,
-    )
+    results = run_jobs([spec.replace(config=c) for c in configs],
+                       jobs=jobs, on_result=on_result)
     out = []
     for value, result in zip(values, results):
         record = record_from_result(result)

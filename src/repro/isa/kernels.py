@@ -37,7 +37,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..core.messages import ReplySource
 from .assembler import assemble
@@ -653,25 +653,24 @@ class IsaKernelFactory:
     """Picklable, cache-tokenable factory for the harness/sweep paths.
 
     The frozen-dataclass repr is the workload token
-    (:func:`repro.harness.cache.workload_token`), so every kernel and
-    parameter choice lands in the memo and disk cache keys for free —
-    the same folding discipline as every prior subsystem.
+    (:func:`repro.harness.cache.workload_token`), so every kernel,
+    parameter and ``scale`` choice lands in the memo and disk cache keys
+    for free.  ``scale`` sizes the default spinlock kernel; explicit
+    ``params`` are used as given.
     """
 
     params: Optional[IsaKernelParams] = None
+    scale: float = 1.0
+    units_attr: ClassVar[str] = "iterations"
 
     def __call__(self, config, num_nodes: int) -> KernelWorkload:
-        params = self.params
-        if params is None:
-            from ..harness.runner import scale_factor
-
-            params = scaled_params("spinlock", scale_factor())
+        params = self.params or scaled_params("spinlock", self.scale)
         return KernelWorkload(params, cpus_per_node=config.cpus,
                               num_nodes=num_nodes)
 
 
 def scaled_params(kernel: str, scale: float = 1.0) -> IsaKernelParams:
-    """REPRO_SCALE-aware defaults: enough iterations per CPU that the
+    """Scaled defaults: enough iterations per CPU that the
     sharing pattern dominates cold-start, small enough that a 32-CPU
     timed run stays interactive."""
     base = {"spinlock": 8, "barrier": 6, "ring": 12, "memcpy": 8,

@@ -197,10 +197,11 @@ def kernel_checks(kernel: str, nthreads: int, nodes: int,
 def cross_validate(kernel: str, config: str = "P8", nodes: int = 1,
                    params: Optional[IsaKernelParams] = None,
                    seeds: Sequence[int] = (0, 1, 2),
-                   probe_rate: int = 64, **run_kw) -> dict:
+                   probe_rate: int = 64) -> dict:
     """Run one kernel through both models; return its report block."""
     from ..core.config import preset
-    from ..harness.runner import run_workload
+    from ..harness.runner import run
+    from ..harness.spec import RunSpec
 
     nthreads = preset(config).cpus * nodes
     params = fit_params(kernel, nthreads,
@@ -211,9 +212,8 @@ def cross_validate(kernel: str, config: str = "P8", nodes: int = 1,
     reference = runs[0]
     images_identical = all(run.image == reference.image for run in runs)
 
-    timed = run_workload(config, IsaKernelFactory(params), num_nodes=nodes,
-                         units_attr="iterations", probe_rate=probe_rate,
-                         **run_kw)
+    timed = run(RunSpec(preset(config), IsaKernelFactory(params),
+                        nodes=nodes, probe_rate=probe_rate))
     isa = timed.extras["isa"]
     memory_match = (images_identical
                     and isa["mem_digest"] == reference.digest)
@@ -267,14 +267,14 @@ def cross_validate(kernel: str, config: str = "P8", nodes: int = 1,
 def run_suite(kernels: Sequence[str] = KERNEL_NAMES, config: str = "P8",
               nodes: int = 1, scale: float = 1.0,
               seeds: Sequence[int] = (0, 1, 2),
-              probe_rate: int = 64, **run_kw) -> dict:
+              probe_rate: int = 64) -> dict:
     """Cross-validate a set of kernels; return the ``repro-xval/1`` doc."""
     reports = {}
     for kernel in kernels:
         reports[kernel] = cross_validate(
             kernel, config=config, nodes=nodes,
             params=scaled_params(kernel, scale), seeds=seeds,
-            probe_rate=probe_rate, **run_kw)
+            probe_rate=probe_rate)
     checks = sum(len(r["checks"]) for r in reports.values())
     failed = sum(1 for r in reports.values()
                  for c in r["checks"] if not c["ok"])

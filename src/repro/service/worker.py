@@ -2,7 +2,7 @@
 
 Launched by the server as ``python -m repro.service.worker <job_dir>``
 (one subprocess per running job, so a simulation crash never takes the
-server down and ``REPRO_SCALE`` can differ per job).  Protocol, all
+server down).  Protocol, all
 through the filesystem plus the exit code:
 
 * reads ``job.json`` (never writes it — the server owns the manifest);
@@ -27,8 +27,8 @@ the exact event (and engine sequence number) the uninterrupted run
 schedules from inside its own tick.  Guard ticks read one flag and
 mutate nothing, so a preempted-and-resumed run's metrics document is
 byte-identical to an uninterrupted run with the same guard period
-(tested); the period folds into the result-cache key because it does
-shape the event schedule.
+(tested); the period is the spec's ``preempt_every_ps`` and so part of
+the result-cache key, because it does shape the event schedule.
 
 ``sweep`` jobs preempt at point boundaries instead: no snapshot —
 completed points are already in the result cache, so resume simply
@@ -136,53 +136,57 @@ def _atomic_write_json(path: str, doc: Dict[str, Any]) -> None:
 
 # -- job kinds ------------------------------------------------------------
 
+def _point_spec(job: Dict[str, Any], **overrides):
+    """The :class:`~repro.harness.spec.RunSpec` a run/sweep job describes
+    (the job's scale travels in the factory, never the environment)."""
+    from ..core import preset
+    from ..harness.experiments import FACTORIES
+    from ..harness.spec import RunSpec
+
+    return RunSpec(
+        preset(job["config"]),
+        FACTORIES[job["workload"]](scale=float(job.get("scale", 1.0))),
+        nodes=int(job["nodes"]),
+        check=bool(job.get("check", False)),
+        probe_rate=int(job.get("probe_rate", 0)),
+        sample_interval_ps=int(float(job.get("sample_interval_us", 0)) * 1e6),
+        **overrides)
+
+
 def _execute_run(record: JobRecord, stream) -> Tuple[str, Optional[dict]]:
     """One preemptible simulation point.  Returns ``(outcome, artifact)``
     where outcome is ``"done"`` or ``"suspended"``."""
     from ..checkpoint import load_checkpoint, save_checkpoint
-    from ..core import preset
-    from ..harness.experiments import FACTORIES, UNITS_ATTR
+    from ..harness.cache import workload_token
     from ..harness.runner import (assemble_result, build_system,
                                   cached_result, store_result)
-    from ..harness.cache import workload_token
 
-    spec = record.spec
-    config = preset(spec["config"])
-    workload_name = spec["workload"]
-    factory = FACTORIES[workload_name]()
-    units_attr = UNITS_ATTR.get(workload_name, "transactions")
-    nodes = int(spec["nodes"])
-    check = bool(spec.get("check", False))
-    probe_rate = int(spec.get("probe_rate", 0))
-    sample_ps = int(float(spec.get("sample_interval_us", 0)) * 1e6)
-    every_ps = int(float(spec.get("preempt_every_us",
-                                  DEFAULT_PREEMPT_EVERY_US)) * 1e6)
+    every_ps = int(float(record.spec.get("preempt_every_us",
+                                         DEFAULT_PREEMPT_EVERY_US)) * 1e6)
     # the guard's ticks shape the event schedule, so the poll period is
-    # measurement identity for cache purposes
-    extra = ("svc-preempt", every_ps)
+    # part of the run description (and of its result key)
+    spec = _point_spec(record.spec, preempt_every_ps=every_ps)
     wall0 = time.time()
 
     resuming = os.path.exists(record.suspend_path)
     if not resuming:
-        cached = cached_result(config, factory, nodes, units_attr, check,
-                               extra, 0, probe_rate, sample_ps,
-                               telemetry=stream)
+        cached = cached_result(spec)
         if cached is not None:
             stream.emit("run_end", config=cached.config,
                         workload=cached.workload, items=cached.units,
                         throughput=cached.throughput,
                         sim_wall_s=cached.sim_wall_s, cached=True)
             return "done", _run_artifact(record, cached, cached=True)
-        system, workload = build_system(config, factory, nodes, check,
-                                        0, probe_rate, sample_ps)
-        stream.emit("run_start", config=config.name,
-                    workload=workload_token(factory), num_nodes=nodes,
-                    mode="detailed", probe_rate=probe_rate,
-                    sample_interval_ps=sample_ps, job_id=record.job_id)
+        system, _workload = build_system(spec)
+        stream.emit("run_start", config=spec.config.name,
+                    workload=workload_token(spec.factory),
+                    num_nodes=spec.nodes, mode="detailed",
+                    probe_rate=spec.probe_rate,
+                    sample_interval_ps=spec.sample_interval_ps,
+                    job_id=record.job_id)
     else:
         _manifest, system = load_checkpoint(record.suspend_path,
-                                            expect_config=config)
-        workload = system.workload
+                                            expect_config=spec.config)
         stream.emit("job_resumed", job_id=record.job_id,
                     sim_now=system.sim.now)
 
@@ -192,7 +196,7 @@ def _execute_run(record: JobRecord, stream) -> Tuple[str, Optional[dict]]:
 
     def sink(payload: bytes, sim_now: int) -> None:
         save_checkpoint(record.suspend_path, system, payload=payload,
-                        sim_now=sim_now, workload=workload_name,
+                        sim_now=sim_now, workload=record.spec["workload"],
                         extra={"job_id": record.job_id})
 
     guard = PreemptGuard(system, record.preempt_path, every_ps, sink)
@@ -216,10 +220,8 @@ def _execute_run(record: JobRecord, stream) -> Tuple[str, Optional[dict]]:
     if system.sampler is not None:
         system.sampler.finalize()
 
-    result = assemble_result(system, workload, config, nodes, units_attr,
-                             probe_rate, sample_ps, time.time() - wall0)
-    store_result(result, config, factory, nodes, units_attr, check, extra,
-                 0, probe_rate, sample_ps, telemetry=stream)
+    result = assemble_result(system, spec, time.time() - wall0)
+    store_result(spec, result)
     stream.emit("run_end", config=result.config, workload=result.workload,
                 items=result.units, throughput=result.throughput,
                 sim_wall_s=result.sim_wall_s, cached=False)
@@ -243,21 +245,16 @@ def _run_artifact(record: JobRecord, result, cached: bool) -> dict:
 def _execute_sweep(record: JobRecord, stream) -> Tuple[str, Optional[dict]]:
     """A serial sweep; preempts between points (resume re-walks the
     values — completed points answer from the result cache)."""
-    from ..core import preset
-    from ..harness.experiments import FACTORIES, UNITS_ATTR
-    from ..harness.runner import run_configured
+    from ..harness.runner import run
     from ..harness.sweep import (parse_sweep_value, record_from_result,
                                  replace_field)
 
-    spec = record.spec
-    base = preset(spec["config"])
-    workload_name = spec["workload"]
-    factory = FACTORIES[workload_name]()
-    units_attr = UNITS_ATTR.get(workload_name, "transactions")
-    nodes = int(spec["nodes"])
-    check = bool(spec.get("check", False))
-    field = spec["field"]
-    values = [parse_sweep_value(str(v)) for v in spec["values"]]
+    spec = _point_spec(record.spec)
+    base = spec.config
+    workload_name = record.spec["workload"]
+    nodes = spec.nodes
+    field = record.spec["field"]
+    values = [parse_sweep_value(str(v)) for v in record.spec["values"]]
 
     if record.resumes:
         stream.emit("job_resumed", job_id=record.job_id, sim_now=0)
@@ -273,8 +270,7 @@ def _execute_sweep(record: JobRecord, stream) -> Tuple[str, Optional[dict]]:
                         by=request.get("by"), point=index)
             _clear_preempt_flag(record)
             return "suspended", None
-        config = replace_field(base, field, value)
-        result = run_configured(config, factory, nodes, units_attr, check)
+        result = run(spec.replace(config=replace_field(base, field, value)))
         point = {"value": value}
         point.update(record_from_result(result))
         records.append(point)
@@ -377,11 +373,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     record = JobRecord.load(args[0])
-    spec = record.spec
-    if spec.get("scale") is not None:
-        # factories size themselves from the environment; one job = one
-        # subprocess, so the override is clean
-        os.environ["REPRO_SCALE"] = str(spec["scale"])
 
     from ..observe.telemetry import TelemetryStream
 

@@ -41,7 +41,8 @@ from repro.checkpoint.format import (
     validate_manifest,
 )
 from repro.core import CoherenceChecker, PiranhaSystem, preset
-from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
+from repro.harness import (DssFactory, OltpFactory, RunSpec, clear_cache,
+                           run_jobs)
 from repro.harness.runner import DISK_CACHE, build_system, simulate
 from repro.harness.sweep import load_manifest, record_from_result, sweep_field
 from repro.sim.engine import _PeriodicTick
@@ -67,12 +68,10 @@ def metrics_bytes(result) -> str:
     return json.dumps(result.extras["metrics"], sort_keys=True)
 
 
-def run_point(config_name, factory, *, warmup, check=False,
-              units_attr="transactions"):
-    return simulate(preset(config_name), factory, num_nodes=1,
-                    units_attr=units_attr, check_coherence=check,
-                    probe_rate=16, sample_interval_ps=int(10e6),
-                    warmup=warmup)
+def run_point(config_name, factory, *, warmup, check=False):
+    return simulate(RunSpec(preset(config_name), factory, nodes=1,
+                            check=check, probe_rate=16,
+                            sample_interval_ps=int(10e6), warmup=warmup))
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +80,18 @@ def run_point(config_name, factory, *, warmup, check=False,
 
 class TestRestoreFidelity:
     @pytest.mark.parametrize("config_name", ["P1", "P8"])
-    @pytest.mark.parametrize("factory,units", [
-        (OltpFactory(TINY_OLTP), "transactions"),
-        (DssFactory(TINY_DSS), "rows"),
+    @pytest.mark.parametrize("factory", [
+        OltpFactory(TINY_OLTP),
+        DssFactory(TINY_DSS),
     ], ids=["oltp", "dss"])
-    def test_metrics_doc_byte_identical(self, config_name, factory, units):
+    def test_metrics_doc_byte_identical(self, config_name, factory):
         """Uninterrupted, cold-with-capture and restored measurement runs
         must produce byte-identical metrics documents."""
-        baseline = run_point(config_name, factory, warmup=False,
-                             units_attr=units)
-        warm_cold = run_point(config_name, factory, warmup=True,
-                              units_attr=units)   # populates the store
-        warm_restored = run_point(config_name, factory, warmup=True,
-                                  units_attr=units)  # restores from it
+        baseline = run_point(config_name, factory, warmup=False)
+        warm_cold = run_point(config_name, factory,
+                              warmup=True)   # populates the store
+        warm_restored = run_point(config_name, factory,
+                                  warmup=True)  # restores from it
         assert metrics_bytes(warm_cold) == metrics_bytes(baseline)
         assert metrics_bytes(warm_restored) == metrics_bytes(baseline)
 
@@ -129,11 +127,8 @@ class TestRestoreFidelity:
 
 class TestParallelWarmFidelity:
     def _jobs(self, warmup):
-        return [
-            Job(config=preset(name), factory=OltpFactory(TINY_OLTP),
-                units_attr="transactions", warmup=warmup)
-            for name in ("P1", "P8")
-        ]
+        return [RunSpec(preset(name), OltpFactory(TINY_OLTP), warmup=warmup)
+                for name in ("P1", "P8")]
 
     def test_jobs_warm_records_identical(self):
         """jobs=2 with warmup=True — cold-capture pass and restored pass
@@ -221,16 +216,15 @@ class TestCheckpointFiles:
         from repro.harness.metrics import metrics_doc
 
         factory = OltpFactory(TINY_OLTP)
-        base_system, _ = build_system(preset("P1"), factory, probe_rate=16,
-                                      sample_interval_ps=int(10e6))
+        spec = RunSpec(preset("P1"), factory, probe_rate=16,
+                       sample_interval_ps=int(10e6))
+        base_system, _ = build_system(spec)
         base_system.run_to_completion()
         baseline = json.dumps(
             metrics_doc(base_system, None, probe_rate=16,
                         sample_interval_ps=int(10e6)), sort_keys=True)
 
-        system, _workload = build_system(
-            preset("P1"), factory, probe_rate=16,
-            sample_interval_ps=int(10e6))
+        system, _workload = build_system(spec)
         capture = WarmCapture(system, halt=True)
         system.start()
         system.sim.run()
@@ -252,7 +246,7 @@ class TestCheckpointFiles:
 
     def test_config_digest_mismatch_refused(self, tmp_path):
         factory = OltpFactory(TINY_OLTP)
-        system, _ = build_system(preset("P1"), factory)
+        system, _ = build_system(RunSpec(preset("P1"), factory))
         capture = WarmCapture(system, halt=True)
         system.start()
         system.sim.run()
@@ -270,17 +264,16 @@ class TestCheckpointFiles:
 class TestResumableSweep:
     VALUES = [256 << 10, 512 << 10]
 
+    SPEC = RunSpec(preset("P1"), OltpFactory(TINY_OLTP))
+
     def _sweep(self, **kw):
-        return sweep_field("P1", OltpFactory(TINY_OLTP), "l2.size_bytes",
-                           self.VALUES, units_attr="transactions", **kw)
+        return sweep_field(self.SPEC, "l2.size_bytes", self.VALUES, **kw)
 
     def test_manifest_tracks_progress_and_rerun_identical(self):
         first = self._sweep(resume=True)
         from repro.harness.sweep import sweep_key
 
-        key = sweep_key(preset("P1"), OltpFactory(TINY_OLTP),
-                        "l2.size_bytes", self.VALUES, 1, "transactions",
-                        False)
+        key = sweep_key(self.SPEC, "l2.size_bytes", self.VALUES)
         manifest = load_manifest(key)
         assert manifest is not None
         assert manifest["done"] == list(range(len(self.VALUES)))
@@ -300,8 +293,8 @@ class TestResumableSweep:
         assert resumed == baseline
 
     def _sweep_prefix(self):
-        sweep_field("P1", OltpFactory(TINY_OLTP), "l2.size_bytes",
-                    self.VALUES[:1], units_attr="transactions", warmup=True)
+        sweep_field(self.SPEC.replace(warmup=True), "l2.size_bytes",
+                    self.VALUES[:1])
 
     def test_resume_matches_plain_sweep(self):
         plain = self._sweep()
@@ -420,7 +413,7 @@ class TestSnapshotBasics:
     def test_txn_counter_travels_with_snapshot(self):
         from repro.core import messages
 
-        system, _ = build_system(preset("P1"), OltpFactory(TINY_OLTP))
+        system, _ = build_system(RunSpec(preset("P1"), OltpFactory(TINY_OLTP)))
         capture = WarmCapture(system, halt=True)
         system.start()
         system.sim.run()
@@ -430,7 +423,7 @@ class TestSnapshotBasics:
         restored.run_to_completion()
 
     def test_snapshot_requires_positive_period(self):
-        system, _ = build_system(preset("P1"), OltpFactory(TINY_OLTP))
+        system, _ = build_system(RunSpec(preset("P1"), OltpFactory(TINY_OLTP)))
         with pytest.raises(ValueError):
             PeriodicCheckpointer(system, 0)
         with pytest.raises(ValueError):
@@ -439,7 +432,7 @@ class TestSnapshotBasics:
     def test_snapshot_bytes_stable_at_boundary(self):
         """Two snapshots of the same state are identical bytes (the
         checkpoint file is cacheable/diffable)."""
-        system, _ = build_system(preset("P1"), OltpFactory(TINY_OLTP))
+        system, _ = build_system(RunSpec(preset("P1"), OltpFactory(TINY_OLTP)))
         capture = WarmCapture(system, halt=True)
         system.start()
         system.sim.run()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core import preset
+from repro.harness import FACTORIES, RunSpec
 
 
 class TestCli:
@@ -90,6 +92,79 @@ class TestCli:
     def test_unknown_config_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--config", "P99"])
+
+
+class _Built(Exception):
+    pass
+
+
+def _cli_spec(monkeypatch, argv):
+    """The RunSpec the CLI builds for *argv* (stopped before simulating)."""
+    import repro.__main__ as cli
+
+    seen = []
+
+    def capture(spec):
+        seen.append(spec)
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_system", capture)
+    with pytest.raises(_Built):
+        main(argv)
+    return seen[0]
+
+
+class TestCliHarnessParity:
+    """The CLI and the harness build one workload per (name, scale):
+    the CLI's own table once gave DSS 40 rows at scale 0.1 (the harness
+    60) and ignored ``--scale`` for TPC-C."""
+
+    @pytest.mark.parametrize("scale", [0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_cli_builds_the_harness_workload(self, monkeypatch, name, scale):
+        spec = _cli_spec(monkeypatch, ["run", "--config", "P2", "--workload",
+                                       name, "--scale", str(scale)])
+        config = preset("P2")
+        harness = RunSpec(config, FACTORIES[name](scale=scale))
+        assert spec.digest("result") == harness.digest("result")
+        assert (spec.factory(config, 1).params
+                == harness.factory(config, 1).params)
+
+    def test_scaled_dss_and_tpcc(self, monkeypatch):
+        dss = _cli_spec(monkeypatch, ["run", "--workload", "dss",
+                                      "--scale", "0.1"])
+        assert dss.factory(preset("P8"), 1).params.rows == 60
+        tpcc = _cli_spec(monkeypatch, ["run", "--workload", "tpcc",
+                                       "--scale", "0.25"])
+        assert tpcc.factory(preset("P8"), 1).params.transactions == 20
+
+    def test_shared_flags_and_command_defaults(self, monkeypatch):
+        spec = _cli_spec(monkeypatch, ["trace"])
+        assert (spec.factory, spec.trace_capacity) == (
+            FACTORIES["migratory"](scale=0.25), 4096)
+        spec = _cli_spec(monkeypatch, ["run", "--trace"])
+        assert spec.trace_capacity == 512
+        spec = _cli_spec(monkeypatch, ["run", "--metrics", "m.json"])
+        assert (spec.probe_rate, spec.sample_interval_ps) == (64, 50_000_000)
+        spec = _cli_spec(monkeypatch, ["run", "--trace-spans", "8",
+                                       "--sample-interval", "5"])
+        assert (spec.probe_rate, spec.sample_interval_ps) == (64, 5_000_000)
+        spec = _cli_spec(monkeypatch, ["report", "--json"])
+        assert (spec.probe_rate, spec.sample_interval_ps) == (64, 50_000_000)
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--check"], ["report", "--telemetry", "t.jsonl"],
+        ["profile", "--profile", "4"], ["trace", "--probe-rate", "8"],
+        ["sweep", "--field", "l2.size_bytes", "--values", "1M",
+         "--telemetry", "t.jsonl"],
+        ["checkpoint", "save", "--out", "c.ckpt", "--trace-spans"],
+        ["submit", "--trace"], ["submit", "--telemetry", "t.jsonl"]])
+    def test_commands_take_only_their_own_flags(self, argv, capsys):
+        """A command never accepts a shared flag it would ignore."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFuzzCli:

@@ -27,8 +27,8 @@ from repro.core.config import preset
 from repro.core.messages import AccessKind
 from repro.fastforward import FunctionalWarmer, PhaseStream, SampledRun
 from repro.harness.experiments import OltpFactory
-from repro.harness.runner import (SAMPLED_PERIOD, SAMPLED_WINDOW,
-                                  _sampled_key_extra, build_system, simulate)
+from repro.harness.runner import build_system, simulate
+from repro.harness.spec import SAMPLED_PERIOD, SAMPLED_WINDOW, RunSpec
 from repro.sim.engine import Simulator
 from repro.workloads import OltpParams
 
@@ -45,8 +45,8 @@ def _sampled(warming: str, handoff: str, reuse_generators: bool = True,
              check: bool = False, nodes: int = 1, **kw):
     config = preset("P8" if nodes == 1 else "P2")
     factory = OltpFactory(OLTP_SMALL)
-    system, _wl = build_system(config, factory, nodes,
-                               check_coherence=check)
+    system, _wl = build_system(RunSpec(config, factory, nodes=nodes,
+                                       check=check))
     run = SampledRun(system, window=WINDOW, period=PERIOD,
                      warming=warming, handoff=handoff,
                      reuse_generators=reuse_generators, **kw)
@@ -132,7 +132,7 @@ class TestSampledRun:
 
     def test_single_shot_and_validation(self):
         config = preset("P8")
-        system, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
+        system, _ = build_system(RunSpec(config, OltpFactory(OLTP_SMALL)))
         run = SampledRun(system, window=WINDOW, period=PERIOD)
         run.run()
         with pytest.raises(RuntimeError):
@@ -156,7 +156,7 @@ class TestSampledRun:
 class TestFunctionalWarmer:
     def _one_cpu_system(self):
         config = preset("P1")
-        system, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
+        system, _ = build_system(RunSpec(config, OltpFactory(OLTP_SMALL)))
         (cpu,) = [c for n in system.nodes for c in n.cpus
                   if c.thread is not None]
         return system, cpu
@@ -196,12 +196,12 @@ class TestFunctionalWarmer:
             return held
 
         config = preset("P1")
-        sys_f, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
+        sys_f, _ = build_system(RunSpec(config, OltpFactory(OLTP_SMALL)))
         (cpu_f,) = [c for n in sys_f.nodes for c in n.cpus
                     if c.thread is not None]
         FunctionalWarmer().advance(cpu_f, stop_at_boundary=True)
 
-        sys_d, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
+        sys_d, _ = build_system(RunSpec(config, OltpFactory(OLTP_SMALL)))
         run = SampledRun(sys_d, window=WINDOW, period=0, warming="detailed",
                          handoff="none")
         run._run_detailed(None, until_warm=True, record=False)
@@ -278,7 +278,8 @@ def _module_counters(system) -> list:
 
 def _pinned_warm_states(config_name: str, nodes: int):
     config = preset(config_name)
-    system, _wl = build_system(config, OltpFactory(OLTP_PIN), nodes)
+    system, _wl = build_system(RunSpec(config, OltpFactory(OLTP_PIN),
+                                       nodes=nodes))
     run = SampledRun(system, window=WINDOW, period=PIN_PERIOD,
                      handoff="none")
     # the warm-up resets the module counters at its boundary: capture
@@ -357,29 +358,36 @@ class TestAdvanceTo:
 
 class TestHarnessIntegration:
     def test_sampled_key_extra(self):
-        base = (("oltp", 1.0),)
-        assert _sampled_key_extra(base, "detailed", 0, 0, "functional") == base
-        folded = _sampled_key_extra(base, "sampled", 0, 0, "functional")
-        assert folded == base + (("sampled", "sampled", SAMPLED_WINDOW,
-                                  SAMPLED_PERIOD, "functional"),)
-        # defaults resolve before folding: explicit default == omitted
-        explicit = _sampled_key_extra(base, "sampled", SAMPLED_WINDOW,
-                                      SAMPLED_PERIOD, "functional")
-        assert explicit == folded
+        base = RunSpec(preset("P1"), OltpFactory(OLTP_SMALL))
+        sampled = base.replace(mode="sampled")
+        # a sampled estimate never answers for (or by) a detailed run
+        assert sampled.digest("result") != base.digest("result")
+        assert sampled.digest("warm") != base.digest("warm")
+        # defaults resolve at construction: explicit default == omitted
+        assert (sampled.window, sampled.period) == (SAMPLED_WINDOW,
+                                                    SAMPLED_PERIOD)
+        explicit = base.replace(mode="sampled", window=SAMPLED_WINDOW,
+                                period=SAMPLED_PERIOD)
+        assert explicit.digest("result") == sampled.digest("result")
+        assert explicit.digest("warm") == sampled.digest("warm")
+        # each warming regime keys its own warm snapshots
+        detailed_ff = sampled.replace(warming="detailed")
+        assert detailed_ff.digest("warm") != sampled.digest("warm")
 
     def test_simulate_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            simulate(preset("P1"), OltpFactory(OLTP_SMALL), mode="turbo")
+            simulate(RunSpec(preset("P1"), OltpFactory(OLTP_SMALL),
+                             mode="turbo"))
 
     def test_warm_store_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = preset("P8")
         factory = OltpFactory(OLTP_SMALL)
-        cold = simulate(config, factory, mode="sampled", warmup=True,
-                        window=WINDOW, period=PERIOD)
-        warm = simulate(config, factory, mode="sampled", warmup=True,
-                        window=WINDOW, period=PERIOD)
+        cold = simulate(RunSpec(config, factory, mode="sampled", warmup=True,
+                                window=WINDOW, period=PERIOD))
+        warm = simulate(RunSpec(config, factory, mode="sampled", warmup=True,
+                                window=WINDOW, period=PERIOD))
         assert not cold.extras["sampling"]["skip_warm"]
         assert warm.extras["sampling"]["skip_warm"]
         # restoring the warm snapshot changes nothing measurable

@@ -25,8 +25,8 @@ import json
 import pytest
 
 from repro.core import PiranhaSystem, preset
-from repro.harness import Job, MigratoryFactory, clear_cache, run_jobs
-from repro.harness.runner import run_configured, simulate
+from repro.harness import (MigratoryFactory, RunSpec, clear_cache, run,
+                           run_jobs, simulate)
 from repro.observe import (
     HostProfiler,
     SpanCollector,
@@ -230,26 +230,24 @@ class TestHostProfiler:
         assert event.startswith("every:")
 
     def test_disabled_profiler_is_bit_identical(self):
-        base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                        units_attr="iterations")
-        profiled = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                            units_attr="iterations", profile=4)
+        base = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO)))
+        profiled = simulate(RunSpec(preset("P2"),
+                                    MigratoryFactory(TINY_MICRO), profile=4))
         assert profiled.payload_tuple() == base.payload_tuple()
         assert "host_profile" not in base.extras
         assert "host_profile" in profiled.extras
 
     def test_span_tracing_never_perturbs_measurement(self):
-        base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                        units_attr="iterations", probe_rate=4)
-        traced = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4,
-                          trace_spans=32)
+        base = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                probe_rate=4))
+        traced = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                  probe_rate=4, trace_spans=32))
         assert traced.payload_tuple() == base.payload_tuple()
         assert validate_trace(traced.extras["trace"]) == []
 
     def test_sampled_attribution(self):
-        result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", profile=4)
+        result = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                  profile=4))
         prof = result.extras["host_profile"]
         assert prof["rate"] == 4
         assert prof["events_seen"] > 0
@@ -279,9 +277,8 @@ class TestHostProfiler:
 class TestTelemetry:
     def test_stream_records_through_simulate(self, tmp_path):
         path = tmp_path / "live.jsonl"
-        simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                 units_attr="iterations", sample_interval_ps=10_000_000,
-                 telemetry=str(path))
+        simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                         sample_interval_ps=10_000_000, telemetry=str(path)))
         records = read_records(str(path))
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "run_start"
@@ -331,20 +328,19 @@ class TestTelemetry:
     def test_cache_hit_emits_cached_run_end(self, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                       units_attr="iterations", telemetry=str(first))
-        run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                       units_attr="iterations", telemetry=str(second))
+        run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                    telemetry=str(first)))
+        run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                    telemetry=str(second)))
         replay = read_records(str(second))
         assert [r["kind"] for r in replay] == ["run_end"]
         assert replay[0]["cached"] is True
 
     def test_sampled_mode_emits_window_records(self, tmp_path):
         path = tmp_path / "sampled.jsonl"
-        simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                 units_attr="iterations", sample_interval_ps=10_000_000,
-                 mode="sampled", window=30, period=60,
-                 telemetry=str(path))
+        simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                         sample_interval_ps=10_000_000, mode="sampled",
+                         window=30, period=60, telemetry=str(path)))
         records = read_records(str(path))
         kinds = {r["kind"] for r in records}
         assert "window" in kinds
@@ -354,43 +350,38 @@ class TestTelemetry:
 
 class TestHarnessIntegration:
     def _job(self, **kw):
-        kw.setdefault("config", preset("P2"))
-        return Job(factory=MigratoryFactory(TINY_MICRO),
-                   units_attr="iterations", **kw)
+        return RunSpec(kw.pop("config", preset("P2")),
+                       MigratoryFactory(TINY_MICRO), **kw)
 
     def test_cache_key_folds_flightdeck_settings(self):
-        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations")
-        traced = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", trace_spans=16)
-        profiled = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                  units_attr="iterations", profile=8)
+        plain = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO)))
+        traced = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                             trace_spans=16))
+        profiled = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                               profile=8))
         assert "trace" not in plain.extras
         assert "trace" in traced.extras
         assert "host_profile" in profiled.extras
         # distinct cache entries: a traced repeat keeps its trace
-        again = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations", trace_spans=16)
+        again = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                            trace_spans=16))
         assert (json.dumps(again.extras["trace"], sort_keys=True)
                 == json.dumps(traced.extras["trace"], sort_keys=True))
         # observability never perturbs the deterministic payload
         assert traced.payload_tuple() == plain.payload_tuple()
 
     def test_trace_spans_imply_probe_rate(self):
-        result = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", trace_spans=16)
+        result = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                             trace_spans=16))
         assert result.extras["trace"]["probe_rate"] == 64
         # explicit probe rate wins over the implied default
-        explicit = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                  units_attr="iterations", trace_spans=16,
-                                  probe_rate=4)
+        explicit = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                               trace_spans=16, probe_rate=4))
         assert explicit.extras["trace"]["probe_rate"] == 4
 
     def test_parallel_jobs_carry_trace_and_profile(self):
         job = self._job(trace_spans=16, profile=8)
-        serial = simulate(job.config, job.factory,
-                          units_attr=job.units_attr,
-                          trace_spans=16, profile=8)
+        serial = simulate(job)
         clear_cache()
         other = self._job(trace_spans=16, profile=8,
                           config=dataclasses.replace(preset("P2"),
@@ -417,9 +408,9 @@ class TestHarnessIntegration:
             assert kinds[0] == "run_start" and kinds[-1] == "run_end"
 
     def test_sampled_mode_attaches_trace_extras(self):
-        result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", mode="sampled",
-                          window=30, period=60, trace_spans=16, profile=8)
+        result = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                  mode="sampled", window=30, period=60,
+                                  trace_spans=16, profile=8))
         assert validate_trace(result.extras["trace"]) == []
         assert result.extras["host_profile"]["events_seen"] > 0
 

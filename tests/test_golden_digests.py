@@ -23,9 +23,9 @@ import os
 
 import pytest
 
-from repro.harness import Job, run_jobs
+from repro.core.config import preset
+from repro.harness import RunSpec, run, run_jobs
 from repro.harness.experiments import DssFactory, OltpFactory
-from repro.harness.runner import run_workload
 from repro.isa.kernels import IsaKernelFactory, IsaKernelParams
 from repro.workloads import DssParams, OltpParams
 
@@ -39,18 +39,17 @@ DSS_Q = DssParams(rows=65, warmup_rows=10)
 ISA_MEMCPY = IsaKernelParams(kernel="memcpy", iterations=8)
 ISA_SPINLOCK = IsaKernelParams(kernel="spinlock", iterations=4)
 
-#: name -> (config, factory, units_attr, num_nodes)
+#: name -> the pinned point
 CANONICAL = {
-    "P1-oltp": ("P1", OltpFactory(OLTP_Q), "transactions", 1),
-    "P8-oltp": ("P8", OltpFactory(OLTP_Q), "transactions", 1),
-    "P1-dss": ("P1", DssFactory(DSS_Q), "rows", 1),
-    "P8-dss": ("P8", DssFactory(DSS_Q), "rows", 1),
+    "P1-oltp": RunSpec(preset("P1"), OltpFactory(OLTP_Q)),
+    "P8-oltp": RunSpec(preset("P8"), OltpFactory(OLTP_Q)),
+    "P1-dss": RunSpec(preset("P1"), DssFactory(DSS_Q)),
+    "P8-dss": RunSpec(preset("P8"), DssFactory(DSS_Q)),
     # real code through the machine: single-CPU private kernel and a
     # 32-CPU cross-node lock — the ISA path is bit-stability-gated too
-    "P1-isa-memcpy": ("P1", IsaKernelFactory(ISA_MEMCPY),
-                      "iterations", 1),
-    "P8x4-isa-spinlock": ("P8", IsaKernelFactory(ISA_SPINLOCK),
-                          "iterations", 4),
+    "P1-isa-memcpy": RunSpec(preset("P1"), IsaKernelFactory(ISA_MEMCPY)),
+    "P8x4-isa-spinlock": RunSpec(preset("P8"),
+                                 IsaKernelFactory(ISA_SPINLOCK), nodes=4),
 }
 
 
@@ -65,8 +64,7 @@ def payload_digest(result) -> str:
 
 
 def run_point(name: str):
-    config, factory, units, nodes = CANONICAL[name]
-    return run_workload(config, factory, num_nodes=nodes, units_attr=units)
+    return run(CANONICAL[name])
 
 
 def load_golden() -> dict:
@@ -98,15 +96,10 @@ def test_golden_digest_warm_cache():
 def test_golden_digest_parallel_jobs(monkeypatch):
     """The ProcessPool path computes the same digests as the pinned
     goldens (cache disabled so workers actually simulate)."""
-    from repro.core.config import preset
-
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     golden = load_golden()
     names = ["P1-oltp", "P1-isa-memcpy"]  # cheap points: workers re-simulate
-    jobs = [Job(config=preset(CANONICAL[n][0]), factory=CANONICAL[n][1],
-                num_nodes=CANONICAL[n][3], units_attr=CANONICAL[n][2])
-            for n in names]
-    results = run_jobs(jobs, jobs=2)
+    results = run_jobs([CANONICAL[n] for n in names], jobs=2)
     for name, result in zip(names, results):
         assert payload_digest(result) == golden[name]["digest"], name
 
@@ -117,10 +110,10 @@ P8_OLTP_EVENTS = 187_699
 
 
 def test_p8_oltp_event_count():
-    from repro.core import PiranhaSystem, preset
+    from repro.core import PiranhaSystem
     from repro.workloads import OltpWorkload
 
-    config = preset(CANONICAL["P8-oltp"][0])
+    config = CANONICAL["P8-oltp"].config
     assert OLTP_Q.seed == 2000
     system = PiranhaSystem(config, num_nodes=1)
     system.attach_workload(OltpWorkload(OLTP_Q, cpus_per_node=config.cpus))

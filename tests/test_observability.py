@@ -24,14 +24,15 @@ import pytest
 from repro.core import PiranhaSystem, ProbeCollector, classify, preset
 from repro.core.messages import ReplySource, RequestType
 from repro.core.probe import TxnProbe
-from repro.harness import Job, MigratoryFactory, clear_cache, run_jobs
+from repro.harness import (MigratoryFactory, RunSpec, clear_cache, run,
+                           run_jobs)
 from repro.harness.metrics import (
     counter_latency_ns,
     metrics_doc,
     timeseries_csv,
     validate_metrics,
 )
-from repro.harness.runner import run_configured, simulate
+from repro.harness.runner import simulate
 from repro.sim import IntervalSampler, Simulator
 from repro.workloads import MicroParams, OltpParams, OltpWorkload
 
@@ -376,14 +377,12 @@ class TestSamplerCheckpointRestore:
 
 class TestMetricsExport:
     def _job(self, **kw):
-        kw.setdefault("config", preset("P2"))
-        return Job(factory=MigratoryFactory(TINY_MICRO),
-                   units_attr="iterations", **kw)
+        return RunSpec(kw.pop("config", preset("P2")),
+                       MigratoryFactory(TINY_MICRO), **kw)
 
     def test_simulate_attaches_valid_doc(self):
-        result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4,
-                          sample_interval_ps=10_000_000)
+        result = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                  probe_rate=4, sample_interval_ps=10_000_000))
         doc = result.extras["metrics"]
         assert validate_metrics(doc) == []
         assert doc["run"]["probe_rate"] == 4
@@ -395,9 +394,8 @@ class TestMetricsExport:
 
     def test_doc_is_deterministic(self):
         docs = [
-            json.dumps(simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", probe_rate=4,
-                                sample_interval_ps=10_000_000
+            json.dumps(simulate(self._job(probe_rate=4,
+                                          sample_interval_ps=10_000_000)
                                 ).extras["metrics"], sort_keys=True)
             for _ in range(2)
         ]
@@ -405,10 +403,7 @@ class TestMetricsExport:
 
     def test_parallel_path_matches_serial(self):
         job = self._job(probe_rate=4, sample_interval_ps=10_000_000)
-        serial = simulate(job.config, job.factory,
-                          units_attr=job.units_attr,
-                          probe_rate=job.probe_rate,
-                          sample_interval_ps=job.sample_interval_ps)
+        serial = simulate(job)
         clear_cache()
         # two distinct jobs so run_jobs actually opens the pool
         other = self._job(probe_rate=4, sample_interval_ps=10_000_000,
@@ -419,23 +414,22 @@ class TestMetricsExport:
                 == json.dumps(serial.extras["metrics"], sort_keys=True))
 
     def test_cache_key_folds_observability_settings(self):
-        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations")
+        plain = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO)))
         assert "metrics" not in plain.extras
-        probed = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", probe_rate=4)
+        probed = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                             probe_rate=4))
         assert "metrics" in probed.extras
         # payloads agree (observability never perturbs the measurement)
         assert probed.payload_tuple() == plain.payload_tuple()
         # a repeat probed call is served from cache, with the doc intact
-        again = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations", probe_rate=4)
+        again = run(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                            probe_rate=4))
         assert (json.dumps(again.extras["metrics"], sort_keys=True)
                 == json.dumps(probed.extras["metrics"], sort_keys=True))
 
     def test_doc_without_sampler_has_null_timeseries(self):
-        result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4)
+        result = simulate(RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                  probe_rate=4))
         doc = result.extras["metrics"]
         assert doc["timeseries"] is None
         assert validate_metrics(doc) == []

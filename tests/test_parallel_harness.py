@@ -19,19 +19,18 @@ import pytest
 from repro.core import preset
 from repro.harness import (
     DiskCache,
-    Job,
     MigratoryFactory,
-    OltpFactory,
+    RunSpec,
     clear_cache,
     memo_cache_info,
     resolve_jobs,
+    run,
     run_jobs,
-    run_workload,
 )
-from repro.harness.cache import result_key, workload_token
-from repro.harness.runner import DISK_CACHE, run_configured, simulate
+from repro.harness.cache import workload_token
+from repro.harness.runner import DISK_CACHE, simulate
 from repro.harness.sweep import replace_field, sweep_field
-from repro.workloads import MicroParams, OltpParams
+from repro.workloads import MicroParams, MigratoryWrites, OltpParams
 
 TINY_OLTP = OltpParams(transactions=6, warmup_transactions=8)
 TINY_MICRO = MicroParams(iterations=120, warmup=30)
@@ -52,11 +51,9 @@ def micro_jobs(n=4):
     values = [(128 + 64 * i) << 10 for i in range(n)]
     base = preset("P2")
     return [
-        Job(config=dataclasses.replace(
-                replace_field(base, "l2.size_bytes", v),
-                name=f"P2[l2={v}]"),
-            factory=MigratoryFactory(TINY_MICRO),
-            units_attr="iterations")
+        RunSpec(dataclasses.replace(replace_field(base, "l2.size_bytes", v),
+                                    name=f"P2[l2={v}]"),
+                MigratoryFactory(TINY_MICRO))
         for v in values
     ]
 
@@ -65,14 +62,12 @@ class TestParallelEquivalence:
     def test_parallel_sweep_matches_serial(self):
         """Acceptance: jobs=4 sweep identical to the serial records."""
         values = [(128 + 64 * i) << 10 for i in range(6)]
-        factory = MigratoryFactory(TINY_MICRO)
+        spec = RunSpec(preset("P2"), MigratoryFactory(TINY_MICRO))
 
         os.environ["REPRO_NO_CACHE"] = "1"  # force both runs to simulate
         try:
-            serial = sweep_field("P2", factory, "l2.size_bytes", values,
-                                 units_attr="iterations", jobs=1)
-            parallel = sweep_field("P2", factory, "l2.size_bytes", values,
-                                   units_attr="iterations", jobs=4)
+            serial = sweep_field(spec, "l2.size_bytes", values, jobs=1)
+            parallel = sweep_field(spec, "l2.size_bytes", values, jobs=4)
         finally:
             del os.environ["REPRO_NO_CACHE"]
         assert parallel == serial
@@ -84,8 +79,7 @@ class TestParallelEquivalence:
 
     def test_parallel_payload_matches_direct_simulate(self):
         job = micro_jobs(1)[0]
-        direct = simulate(job.config, job.factory,
-                          units_attr=job.units_attr)
+        direct = simulate(job)
         # single-point lists run serially; use a 2-point pool so the
         # first result genuinely crossed the process boundary
         pooled, _ = run_jobs(micro_jobs(2), jobs=2)
@@ -95,9 +89,9 @@ class TestParallelEquivalence:
         params = TINY_MICRO
 
         def closure_factory(config, num_nodes):  # not picklable
-            from repro.workloads import MigratoryWrites
             return MigratoryWrites(params, cpus_per_node=config.cpus,
                                    num_nodes=num_nodes)
+        closure_factory.units_attr = "iterations"
 
         base = micro_jobs(2)
         jobs = [dataclasses.replace(base[0], factory=closure_factory),
@@ -112,12 +106,9 @@ class TestParallelEquivalence:
         across the ProcessPool boundary in ``RunResult.extras``, matching
         the serial run exactly."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        jobs = [dataclasses.replace(j, check_coherence=True,
-                                    trace_capacity=256)
+        jobs = [j.replace(check=True, trace_capacity=256)
                 for j in micro_jobs(2)]
-        direct = simulate(jobs[0].config, jobs[0].factory,
-                          units_attr=jobs[0].units_attr,
-                          check_coherence=True, trace_capacity=256)
+        direct = simulate(jobs[0])
         pooled, _ = run_jobs(jobs, jobs=2)
         sanitizer_keys = [k for k in pooled.extras
                           if not k.startswith("cache_")]
@@ -140,52 +131,43 @@ class TestParallelEquivalence:
 class TestDiskCache:
     def test_hit_serves_identical_payload(self):
         job = micro_jobs(1)[0]
-        first = run_configured(job.config, job.factory,
-                               units_attr=job.units_attr)
+        first = run(job)
         clear_cache()  # drop the memo: the next lookup must hit the disk
         hits_before = DISK_CACHE.hits
-        second = run_configured(job.config, job.factory,
-                                units_attr=job.units_attr)
+        second = run(job)
         assert DISK_CACHE.hits == hits_before + 1
         assert second.payload_tuple() == first.payload_tuple()
 
     def test_config_change_invalidates(self):
         jobs = micro_jobs(2)  # two points differing only in L2 size
-        key_a = result_key(jobs[0].config, jobs[0].factory, 1,
-                           jobs[0].units_attr, False, ())
-        key_b = result_key(jobs[1].config, jobs[1].factory, 1,
-                           jobs[1].units_attr, False, ())
-        assert key_a != key_b
-        run_configured(jobs[0].config, jobs[0].factory,
-                       units_attr=jobs[0].units_attr)
+        assert jobs[0].digest("result") != jobs[1].digest("result")
+        run(jobs[0])
         clear_cache()
         hits_before = DISK_CACHE.hits
-        run_configured(jobs[1].config, jobs[1].factory,
-                       units_attr=jobs[1].units_attr)
+        run(jobs[1])
         assert DISK_CACHE.hits == hits_before  # different point: no hit
 
     def test_scale_env_part_of_key(self, monkeypatch):
+        """The workload scale is part of the key — as the factory's
+        ``scale`` field, never read from the environment."""
         job = micro_jobs(1)[0]
-        monkeypatch.setenv("REPRO_SCALE", "1.0")
-        key_full = result_key(job.config, job.factory, 1, job.units_attr,
-                              False, ())
+        full = job.replace(factory=MigratoryFactory(TINY_MICRO, scale=1.0))
+        quarter = job.replace(
+            factory=MigratoryFactory(TINY_MICRO, scale=0.25))
+        assert full.digest("result") != quarter.digest("result")
         monkeypatch.setenv("REPRO_SCALE", "0.25")
-        key_quarter = result_key(job.config, job.factory, 1, job.units_attr,
-                                 False, ())
-        assert key_full != key_quarter
+        assert full.digest("result") == job.digest("result")
 
     def test_opaque_factory_not_disk_keyable(self):
         assert workload_token(lambda c, n: None) is None
         job = micro_jobs(1)[0]
-        assert result_key(job.config, lambda c, n: None, 1,
-                          job.units_attr, False, ()) is None
+        assert job.replace(factory=lambda c, n: None).digest("result") is None
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path / "torn"))
         job = micro_jobs(1)[0]
-        key = result_key(job.config, job.factory, 1, job.units_attr,
-                         False, ())
-        result = simulate(job.config, job.factory, units_attr=job.units_attr)
+        key = job.digest("result")
+        result = simulate(job)
         cache.put(key, result)
         target = cache._file(key)
         with open(target, "w", encoding="utf-8") as f:
@@ -194,7 +176,7 @@ class TestDiskCache:
 
     def test_info_and_clear(self):
         job = micro_jobs(1)[0]
-        run_configured(job.config, job.factory, units_attr=job.units_attr)
+        run(job)
         info = DISK_CACHE.info()
         assert info["entries"] == 1
         assert info["bytes"] > 0
@@ -206,9 +188,8 @@ class TestMemoCache:
     def test_memo_inspectable_and_counts_hits(self):
         job = micro_jobs(1)[0]
         before = memo_cache_info()
-        run_configured(job.config, job.factory, units_attr=job.units_attr)
-        result = run_configured(job.config, job.factory,
-                                units_attr=job.units_attr)
+        run(job)
+        result = run(job)
         info = memo_cache_info()
         assert info["entries"] == before["entries"] + 1
         assert info["hits"] > before["hits"]
@@ -221,22 +202,45 @@ class TestMemoCache:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         job = micro_jobs(1)[0]
         entries_before = memo_cache_info()["entries"]
-        a = run_configured(job.config, job.factory, units_attr=job.units_attr)
-        b = run_configured(job.config, job.factory, units_attr=job.units_attr)
+        a = run(job)
+        b = run(job)
         assert memo_cache_info()["entries"] == entries_before
         assert DISK_CACHE.info()["entries"] == 0
         # ... but determinism still holds without the caches
         assert a.payload_tuple() == b.payload_tuple()
 
-    def test_run_workload_legacy_entry_point_memoises(self):
-        result = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                              units_attr="iterations",
-                              cache_key_extra=("legacy",))
-        again = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                             units_attr="iterations",
-                             cache_key_extra=("legacy",))
-        assert again.payload_tuple() == result.payload_tuple()
-        assert result.config == "P1"
+    def test_scale_change_in_process_is_not_stale(self, monkeypatch):
+        """Regression: the memo key once left out the workload scale, so
+        a second ``REPRO_SCALE`` in the same process got the first
+        scale's answer.  The scale now rides the factory into the key."""
+        def point():
+            from repro.harness import scale_factor
+
+            return RunSpec(preset("P1"), MigratoryFactory(scale=scale_factor()))
+
+        monkeypatch.setenv("REPRO_SCALE", "1.0")
+        assert run(point()).units == 1000
+        monkeypatch.setenv("REPRO_SCALE", "0.25")
+        assert run(point()).units == 250
+        assert simulate(point()).units == 250
+
+    def test_closures_sharing_a_qualname_do_not_collide(self):
+        """Regression: opaque factories were memoised by ``__qualname__``,
+        so two different closures from one maker shared an entry.  An
+        opaque factory now has no digest and is never cached."""
+        def mk(iterations):
+            def factory(config, num_nodes):
+                return MigratoryWrites(
+                    MicroParams(iterations=iterations, warmup=30),
+                    cpus_per_node=config.cpus, num_nodes=num_nodes)
+            factory.units_attr = "iterations"
+            return factory
+
+        first = run(RunSpec(preset("P1"), mk(200)))
+        second = run(RunSpec(preset("P1"), mk(400)))
+        assert first.units == 200
+        assert second.units == 400
+        assert memo_cache_info()["entries"] == 0
 
 
 class TestReplaceFieldErrors:

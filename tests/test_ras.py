@@ -1,15 +1,10 @@
-"""Unit tests for the RAS extensions (§2.7)."""
+"""Unit tests for the RAS protocol watchdog (§2.7)."""
 
 import pytest
 
 from repro.core import AccessKind, PiranhaSystem, preset
 from repro.core.messages import MemRequest, RequestType
-from repro.core.ras import (
-    CapabilityError,
-    MemoryMirror,
-    PersistentMemory,
-    ProtocolWatchdog,
-)
+from repro.core.ras import ProtocolWatchdog
 
 
 @pytest.fixture
@@ -45,52 +40,3 @@ class TestWatchdog:
         wd.arm()
         do_store(system, 0, 0x40)
         assert wd.c_timeouts.value == 0
-
-
-class TestPersistentMemory:
-    def test_capability_enforced(self, system):
-        pm = PersistentMemory(system)
-        pm.register_region(0x10000, 0x1000, capability=7)
-        with pytest.raises(CapabilityError):
-            pm.check_write(agent=1, addr=0x10040)
-        pm.grant(agent=1, capability=7)
-        pm.check_write(agent=1, addr=0x10040)
-        assert pm.writes_checked == 2
-
-    def test_revoke(self, system):
-        pm = PersistentMemory(system)
-        pm.register_region(0x10000, 0x1000, capability=7)
-        pm.grant(1, 7)
-        pm.revoke(1, 7)
-        with pytest.raises(CapabilityError):
-            pm.check_write(1, 0x10000)
-
-    def test_outside_region_unchecked(self, system):
-        pm = PersistentMemory(system)
-        pm.register_region(0x10000, 0x1000, capability=7)
-        pm.check_write(agent=1, addr=0x50000)  # no exception
-        assert pm.writes_checked == 0
-
-    def test_barrier_flushes_dirty_persistent_lines(self, system):
-        pm = PersistentMemory(system)
-        pm.register_region(0x0, 0x2000, capability=1)
-        do_store(system, 0, 0x40)  # dirty line in node0's L1
-        flushed = pm.barrier(0)
-        assert flushed >= 1
-        assert system.mem_versions.get(0x40, 0) >= 1
-        assert pm.barriers == 1
-
-
-class TestMemoryMirror:
-    def test_writebacks_duplicated(self, system):
-        mirror = MemoryMirror(system, primary=0, mirror=1)
-        # force a dirty line back to node0's memory via an L2 eviction path:
-        # simplest honest trigger is the chip's write-back entry point
-        system.nodes[0].mem_write_back(0x40, version=3, bank_idx=1)
-        assert mirror.c_mirrored == 1
-        assert mirror.mirrored_lines[0x40] == 3
-        assert mirror.verify()
-
-    def test_same_node_rejected(self, system):
-        with pytest.raises(ValueError):
-            MemoryMirror(system, primary=0, mirror=0)

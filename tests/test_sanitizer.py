@@ -269,24 +269,28 @@ class TestInjectedMutations:
 
 class TestHarnessCliParity:
     def test_identical_telemetry_in_extras(self, monkeypatch, tmp_path):
-        """`run_workload(check_coherence=True)` and `repro run --check`
+        """`run(RunSpec(check=True))` and `repro run --check`
         must run the identical audit set and report identical sanitizer
         telemetry: both funnel through `PiranhaSystem.verify()`."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        from repro.__main__ import _build_checked_system
+        from repro.__main__ import _spec
+        from repro.harness import RunSpec, build_system, run
         from repro.harness.experiments import MigratoryFactory
-        from repro.harness.runner import run_workload
 
-        # harness path (scale 0.25 -> iterations=max(200, 1000*0.25)=250,
-        # matching the CLI's WORKLOADS["migratory"] construction)
-        result = run_workload(
-            "P2", MigratoryFactory(params=MicroParams(iterations=250)),
-            num_nodes=2, units_attr="iterations", check_coherence=True)
+        # harness path
+        spec = RunSpec(preset("P2"), MigratoryFactory(scale=0.25), nodes=2,
+                       check=True)
+        result = run(spec)
 
         # CLI path: exactly what cmd_run does for --check
-        args = argparse.Namespace(config="P2", nodes=2, workload="migratory",
-                                  scale=0.25, check=True, trace=0)
-        _, system, checker = _build_checked_system(args)
+        args = argparse.Namespace(
+            command="run", config="P2", nodes=2, workload="migratory",
+            scale=0.25, check=True, trace=0, probe_rate=0,
+            sample_interval=0, trace_spans=0, profile=0, telemetry=None,
+            metrics=None)
+        cli_spec = _spec(args)
+        assert cli_spec.digest("result") == spec.digest("result")
+        system, _workload = build_system(cli_spec)
         system.run_to_completion()
         cli_telemetry = system.verify()
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import AccessKind, PiranhaSystem, preset
-from repro.harness.sweep import replace_field, run_config, sweep_field
+from repro.harness import RunSpec, run
+from repro.harness.sweep import record_from_result, replace_field, sweep_field
 from repro.workloads import DssWorkload, OltpParams, OltpWorkload
 from repro.workloads.web import WebParams, WebWorkload
 
@@ -68,8 +69,8 @@ class TestSweep:
             cpus_per_node=config.cpus, num_nodes=num_nodes)
 
     def test_l2_size_sweep_shapes(self):
-        records = sweep_field("P2", self._factory, "l2.size_bytes",
-                              [256 << 10, 1 << 20])
+        records = sweep_field(RunSpec(preset("P2"), self._factory),
+                              "l2.size_bytes", [256 << 10, 1 << 20])
         assert len(records) == 2
         small, big = records
         # a bigger L2 can only reduce (or equal) the memory-miss share
@@ -77,6 +78,6 @@ class TestSweep:
         assert all("throughput" in r for r in records)
 
     def test_run_config_metrics(self):
-        record = run_config(preset("P1"), self._factory)
+        record = record_from_result(run(RunSpec(preset("P1"), self._factory)))
         assert record["busy_frac"] + record["l2_frac"] + record["mem_frac"] \
             == pytest.approx(1.0)
