@@ -58,7 +58,11 @@ MAGIC = b"RPCKPT01"
 #: 2: event-queue entries are ``(time, seq, fn, args)`` tuples (schema 1
 #: queued ``(time, seq, EventHandle)``).
 #: 3: L2 banks carry ``_multi_node``, fixed at build time.
-SCHEMA = 3
+#: 4: TSRFs carry a live-entry count, priority FIFOs their length, the
+#: IQ its disposition probes, routers their minimal-link cache, and
+#: protocol engines their burst-effects list; sequencers drop their
+#: bound table when pickled.
+SCHEMA = 4
 
 _LEN = struct.Struct(">I")
 

@@ -26,6 +26,24 @@ from .protocol_engine import REPLY_TYPES, ProtocolEngine
 from .rdram import MemoryController
 from .syscontrol import SystemControl
 
+#: packet steering (Section 2.6.2): requests and write-backs go to the
+#: home engine, forwarded requests and invalidations to the remote
+#: engine; replies go to whichever engine has the waiting thread
+_HOME_TYPES = frozenset({
+    PacketType.READ,
+    PacketType.READ_EXCLUSIVE,
+    PacketType.EXCLUSIVE,
+    PacketType.EXCLUSIVE_NO_DATA,
+    PacketType.WRITEBACK,
+})
+_REMOTE_TYPES = frozenset({
+    PacketType.FWD_READ,
+    PacketType.FWD_READ_EXCLUSIVE,
+    PacketType.INVALIDATE,
+    PacketType.CMI_INVALIDATE,
+})
+_SYSCONTROL_TYPES = frozenset({PacketType.INTERRUPT, PacketType.CONTROL})
+
 
 class PiranhaChip(Component):
     """A single Piranha processing (or I/O) node."""
@@ -258,33 +276,28 @@ class PiranhaChip(Component):
                               f"{pkt.ptype.name} <- node{pkt.src}")
         if pkt.probe is not None:
             pkt.probe.stamp("pkt_recv", self.sim.now)
-        if pkt.ptype in REPLY_TYPES:
+        ptype = pkt.ptype
+        if ptype in REPLY_TYPES:
             return self._route_reply(pkt)
-        if pkt.ptype in (
-            PacketType.READ,
-            PacketType.READ_EXCLUSIVE,
-            PacketType.EXCLUSIVE,
-            PacketType.EXCLUSIVE_NO_DATA,
-            PacketType.WRITEBACK,
-        ):
+        if ptype in _HOME_TYPES:
             return self.home_engine.deliver_external(pkt)
-        if pkt.ptype in (
-            PacketType.FWD_READ,
-            PacketType.FWD_READ_EXCLUSIVE,
-            PacketType.INVALIDATE,
-            PacketType.CMI_INVALIDATE,
-        ):
+        if ptype in _REMOTE_TYPES:
             return self.remote_engine.deliver_external(pkt)
-        if pkt.ptype in (PacketType.INTERRUPT, PacketType.CONTROL):
+        if ptype in _SYSCONTROL_TYPES:
             return self.syscontrol.deliver(pkt)
         raise RuntimeError(f"{self.name}: unroutable packet {pkt}")
 
     def _route_reply(self, pkt: Packet) -> bool:
-        """Replies match whichever engine has the waiting TSRF entry."""
+        """Replies match whichever engine has the waiting TSRF entry (the
+        remote engine handles the retry when neither has one yet)."""
         addr = line_addr(pkt.addr)
-        if self.home_engine.has_waiting_external(addr, int(pkt.ptype)):
-            return self.home_engine.deliver_external(pkt)
-        return self.remote_engine.deliver_external(pkt)
+        code = int(pkt.ptype)
+        engine = self.home_engine
+        entry = engine.match_reply(addr, code)
+        if entry is None:
+            engine = self.remote_engine
+            entry = engine.match_reply(addr, code)
+        return engine.deliver_reply(pkt, entry)
 
     # -----------------------------------------------------------------------
     # Workload control

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 MICROSTORE_WORDS = 1024
 INSTRUCTION_BITS = 21
@@ -348,6 +348,16 @@ class StepResult(enum.Enum):
     DONE = "done"                           # reached END
 
 
+#: Kinds of a bound microstore slot (see :meth:`Sequencer._bind`), in the
+#: order the run loop tests them: a jump (trampolines, no-op MOVEs), a
+#: SEND/LSEND call, a RECEIVE/LRECEIVE block, a SET/MOVE action, a TEST
+#: branch, the END marker, and a slot whose execution raises.
+JUMP, CALL, BLOCK, ACT, BRANCH, STOP, FAULT = range(7)
+
+#: the bound form of every unprogrammed slot (the error names the address)
+_UNPROGRAMMED = (FAULT, None, None, END)
+
+
 class Sequencer:
     """Executes microcode for one thread until it blocks or completes.
 
@@ -355,72 +365,134 @@ class Sequencer:
     one cycle each) plus the reason for stopping.  The engine resource
     model and thread scheduling live in
     :class:`repro.core.protocol_engine.ProtocolEngine`.
+
+    The microstore is frozen once assembled, so the sequencer decodes it
+    only once: at its first :meth:`run` it binds every slot to a
+    ``(kind, handler, arg2, next_addr)`` entry with the environment's
+    handler already resolved, and the run loop does no opcode compares,
+    bounds checks or symbol lookups per instruction.  The environment is
+    read at that first run; changes to it afterwards are not seen.  The
+    bound table holds the node's handlers, so it is not pickled: a
+    restored sequencer binds again at its next run.
     """
 
     def __init__(self, program: Program, env: Environment) -> None:
         self.program = program
         self.env = env
+        self._table: Optional[List[tuple]] = None
+        self._accepts: Optional[Dict[int, frozenset]] = None
+
+    def _bind(self) -> List[tuple]:
+        """Decode the microstore into the bound table (and the accepted
+        dispatch codes of every RECEIVE/LRECEIVE word)."""
+        store = self.program.store
+        env = self.env
+        table: List[tuple] = []
+        accepts: Dict[int, frozenset] = {}
+        for pc, word in enumerate(store):
+            if pc == END:
+                # checked before any fetch: the word there never executes
+                table.append((STOP, None, StepResult.DONE, END))
+                continue
+            if word is None:
+                table.append(_UNPROGRAMMED)
+                continue
+            op, arg1, arg2, nxt = word.op, word.arg1, word.arg2, word.next_addr
+            if op == Op.RECEIVE or op == Op.LRECEIVE:
+                result = (StepResult.BLOCKED_EXTERNAL if op == Op.RECEIVE
+                          else StepResult.BLOCKED_LOCAL)
+                table.append((BLOCK, None, result, nxt))
+                accepts[pc] = frozenset(
+                    code for code in range(CONDITION_WAYS)
+                    if store[nxt | code] is not None)
+            elif op == Op.TEST:
+                cond = env.conditions.get(arg1)
+                table.append((BRANCH, cond, arg2, nxt) if cond is not None
+                             else (FAULT, KeyError, arg1, nxt))
+            elif op == Op.SET:
+                action = env.actions.get(arg1)
+                table.append(
+                    (ACT, action, arg2, nxt) if action is not None
+                    else (FAULT, MicrocodeError,
+                          f"unbound SET action id {arg1} at {pc}", nxt))
+            elif op == Op.MOVE:
+                action = (env.actions.get(arg1) if arg1 or arg2 else None)
+                table.append((ACT, action, arg2, nxt) if action is not None
+                             else (JUMP, None, arg2, nxt))
+            elif op == Op.SEND or op == Op.LSEND:
+                senders, what = ((env.senders, "SEND") if op == Op.SEND
+                                 else (env.local_senders, "LSEND"))
+                sender = senders.get(arg1)
+                table.append(
+                    (CALL, sender, arg2, nxt) if sender is not None
+                    else (FAULT, MicrocodeError,
+                          f"unbound {what} id {arg1} at {pc}", nxt))
+            else:
+                table.append((FAULT, MicrocodeError,
+                              f"unknown opcode {op}", nxt))
+        self._table = table
+        self._accepts = accepts
+        return table
+
+    def accepted_codes(self) -> Dict[int, frozenset]:
+        """``{pc: codes}`` for every RECEIVE/LRECEIVE word: the dispatch
+        codes (low four bits) whose branch-table slot is programmed."""
+        if self._accepts is None:
+            self._bind()
+        return self._accepts
 
     def run(self, entry: "TsrfEntryLike", dispatch_code: Optional[int] = None
             ) -> Tuple[int, StepResult]:
+        table = self._table
+        if table is None:
+            table = self._bind()
         executed = 0
         pc = entry.pc
+        if not 0 <= pc < MICROSTORE_WORDS:
+            self.program.word_at(pc)  # raises: outside the microstore
         # A thread resuming from RECEIVE/LRECEIVE branches through the
         # table slot selected by the arriving message's condition code.
         if dispatch_code is not None:
-            word = self.program.word_at(pc)
-            if word.op not in (Op.RECEIVE, Op.LRECEIVE):
+            kind, _fn, _arg, base = table[pc]
+            if kind != BLOCK:
+                self.program.word_at(pc)  # raises if unprogrammed
                 raise MicrocodeError(
                     f"dispatch into non-receive instruction at {pc}"
                 )
             executed += 1  # the RECEIVE itself retires now
-            pc = word.next_addr | (dispatch_code & 0xF)
+            pc = base | (dispatch_code & 0xF)
         while True:
-            if pc == END:
-                entry.pc = END
-                return executed, StepResult.DONE
-            word = self.program.word_at(pc)
-            if word.op in (Op.RECEIVE, Op.LRECEIVE):
+            kind, fn, arg, nxt = table[pc]
+            if kind == JUMP:
+                executed += 1
+                pc = nxt
+            elif kind == CALL:
+                executed += 1
+                fn(entry)
+                pc = nxt
+            elif kind == BLOCK:
                 entry.pc = pc  # re-dispatched with a code when woken
-                blocked = (
-                    StepResult.BLOCKED_EXTERNAL
-                    if word.op == Op.RECEIVE
-                    else StepResult.BLOCKED_LOCAL
-                )
-                return executed, blocked
-            executed += 1
-            if word.op == Op.TEST:
-                cond = self.env.conditions[word.arg1]
-                code = int(cond(entry)) & 0xF
-                pc = word.next_addr | code
-            elif word.op == Op.SET:
-                action = self.env.actions.get(word.arg1)
-                if action is None:
-                    raise MicrocodeError(
-                        f"unbound SET action id {word.arg1} at {pc}"
-                    )
-                action(entry, word.arg2)
-                pc = word.next_addr
-            elif word.op == Op.MOVE:
-                if word.arg1 or word.arg2:
-                    action = self.env.actions.get(word.arg1)
-                    if action is not None:
-                        action(entry, word.arg2)
-                pc = word.next_addr
-            elif word.op == Op.SEND:
-                sender = self.env.senders.get(word.arg1)
-                if sender is None:
-                    raise MicrocodeError(f"unbound SEND id {word.arg1} at {pc}")
-                sender(entry)
-                pc = word.next_addr
-            elif word.op == Op.LSEND:
-                sender = self.env.local_senders.get(word.arg1)
-                if sender is None:
-                    raise MicrocodeError(f"unbound LSEND id {word.arg1} at {pc}")
-                sender(entry)
-                pc = word.next_addr
-            else:  # pragma: no cover - exhaustive
-                raise MicrocodeError(f"unknown opcode {word.op}")
+                return executed, arg
+            elif kind == ACT:
+                executed += 1
+                fn(entry, arg)
+                pc = nxt
+            elif kind == BRANCH:
+                executed += 1
+                pc = nxt | (int(fn(entry)) & 0xF)
+            elif kind == STOP:
+                entry.pc = END
+                return executed, arg
+            elif fn is None:
+                self.program.word_at(pc)  # raises: unprogrammed address
+            else:
+                raise fn(arg)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_table"] = None
+        state["_accepts"] = None
+        return state
 
 
 class TsrfEntryLike:

@@ -15,14 +15,14 @@ manipulation, and CMI planning.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..interconnect.cmi import MAX_CMI_MESSAGES, plan_cmi
-from ..interconnect.packets import Lane, Packet, PacketType
+from ..interconnect.packets import Packet, PacketType
 from ..mem.addr import line_addr
 from ..sim.engine import Component, Simulator, ns
 from .directory import DirectoryEntry, DirState, add_sharer, make_exclusive
-from .microcode import END, Environment, Program, Sequencer, StepResult
+from .microcode import Environment, Program, Sequencer, StepResult
 from .microprograms import (
     HOME_ENTRY,
     LOCAL_MSG,
@@ -31,6 +31,9 @@ from .microprograms import (
     build_remote_program,
 )
 from .tsrf import Tsrf, TsrfEntry, TsrfFullError
+
+DONE = StepResult.DONE
+BLOCKED_EXTERNAL = StepResult.BLOCKED_EXTERNAL
 
 #: Reply packet types are matched against waiting TSRF entries; request
 #: packet types allocate fresh protocol threads.
@@ -76,6 +79,9 @@ class ProtocolEngine(Component):
         self.tsrf = Tsrf()
         self.busy_until = 0
         self.stalled: deque = deque()  # messages waiting for a TSRF entry
+        #: the running burst's deferred effects ``(fn, args)``, scheduled
+        #: when the burst ends (empty between bursts)
+        self._effects: list = []
         self.env = self._bind_environment()
         self.sequencer = Sequencer(self.program, self.env)
         s = self.stats
@@ -93,50 +99,42 @@ class ProtocolEngine(Component):
     # Message entry points
     # -----------------------------------------------------------------------
 
-    def _accepts_code(self, entry, code: int) -> bool:
-        """True when the entry's pending RECEIVE/LRECEIVE has a programmed
-        branch-table slot for *code* (hardware: the dispatch condition
-        matches).  Disambiguates multiple same-address threads."""
-        word = self.program.word_at(entry.pc)
-        slot = word.next_addr | (code & 0xF)
-        return self.program.store[slot] is not None
-
-    def _match_waiting(self, addr: int, waiting: str, code: int):
+    def match_reply(self, addr: int, code: int) -> Optional[TsrfEntry]:
+        """The thread parked at a RECEIVE on line *addr* whose branch
+        table has a programmed slot for dispatch *code* (hardware: the
+        dispatch condition matches), or None.  The code check
+        disambiguates several same-line threads."""
+        if not self.tsrf.live:
+            return None
+        code &= 0xF
         for entry in self.tsrf.entries:
-            if (entry.valid and entry.waiting == waiting
-                    and entry.addr == addr and self._accepts_code(entry, code)):
+            if (entry.valid and entry.waiting == "external"
+                    and entry.addr == addr
+                    and code in self.sequencer.accepted_codes()[entry.pc]):
                 return entry
         return None
 
-    def has_waiting_external(self, addr: int, code: int) -> bool:
-        """Used by the chip's reply router to pick the right engine."""
-        return self._match_waiting(addr, "external", code) is not None
-
-    def can_accept(self, pkt: Packet) -> bool:
-        """IQ probe: replies always match a waiting entry; new requests
-        need either a free TSRF entry or an entry to piggyback on."""
-        if pkt.ptype in REPLY_TYPES:
+    def deliver_reply(self, pkt: Packet, entry: Optional[TsrfEntry]) -> bool:
+        """A reply arrived for *entry* (from :meth:`match_reply`)."""
+        self.c_ext_msgs.value += 1
+        if entry is None:
+            # The reply raced ahead of the waiter reaching its RECEIVE
+            # (engine busy) — or it belongs to the *other* engine whose
+            # waiter was not parked yet.  Re-route from the chip level
+            # so the retry reconsiders both engines.
+            self.schedule(self.INSTR_PS, self.chip.deliver_packet, pkt)
             return True
-        return self.tsrf.free_count > 0 or len(self.stalled) < 64
+        entry.vars["_msg"] = pkt
+        entry.waiting = None
+        self._start(entry, int(pkt.ptype))
+        return True
 
     def deliver_external(self, pkt: Packet) -> bool:
-        """A packet addressed to this engine arrived via the IQ."""
-        self.c_ext_msgs.inc()
-        addr = line_addr(pkt.addr)
+        """A request-class packet addressed to this engine arrived via the
+        IQ: start a new protocol thread (replies go to
+        :meth:`deliver_reply`)."""
+        self.c_ext_msgs.value += 1
         code = int(pkt.ptype)
-        if pkt.ptype in REPLY_TYPES:
-            entry = self._match_waiting(addr, "external", code)
-            if entry is None:
-                # The reply raced ahead of the waiter reaching its RECEIVE
-                # (engine busy) — or it belongs to the *other* engine whose
-                # waiter was not parked yet.  Re-route from the chip level
-                # so the retry reconsiders both engines.
-                self.schedule(self.INSTR_PS, self.chip.deliver_packet, pkt)
-                return True
-            entry.vars["_msg"] = pkt
-            entry.waiting = None
-            self._start(entry, code)
-            return True
         try:
             label = self.entry_map[("ext", code)]
         except KeyError:
@@ -147,16 +145,18 @@ class ProtocolEngine(Component):
             self.c_tsrf_stalls.inc()
             self.stalled.append(("ext", pkt))
             return True
+        info = pkt.info
         try:
             entry = self.tsrf.allocate(
-                addr, self.program.entry_points[label], self.now,
+                line_addr(pkt.addr), self.program.entry_points[label],
+                self.sim.now,
                 _msg=pkt,
-                req_node=pkt.info.get("req_node", pkt.src),
-                req_cpu=pkt.info.get("req_cpu", 0),
+                req_node=info.get("req_node", pkt.src),
+                req_cpu=info.get("req_cpu", 0),
                 req_ptype=pkt.ptype,
-                version=pkt.info.get("version", 0),
-                sharing=pkt.info.get("sharing", False),
-                chain=tuple(pkt.info.get("chain", ())),
+                version=info.get("version", 0),
+                sharing=info.get("sharing", False),
+                chain=tuple(info.get("chain", ())),
                 is_local=False,
                 probe=pkt.probe,
             )
@@ -164,7 +164,7 @@ class ProtocolEngine(Component):
             self.c_tsrf_stalls.inc()
             self.stalled.append(("ext", pkt))
             return True
-        self.c_threads.inc()
+        self.c_threads.value += 1
         self._start(entry, None)
         return True
 
@@ -175,7 +175,7 @@ class ProtocolEngine(Component):
 
     def deliver_local(self, kind: str, addr: int, **vars: Any) -> None:
         """A bank (or other local module) starts a new protocol thread."""
-        self.c_local_msgs.inc()
+        self.c_local_msgs.value += 1
         code = LOCAL_MSG[kind]
         label = self.entry_map[("local", code)]
         if (kind in self.REQUEST_LOCAL
@@ -185,32 +185,22 @@ class ProtocolEngine(Component):
             return
         try:
             entry = self.tsrf.allocate(
-                line_addr(addr), self.program.entry_points[label], self.now,
-                is_local=vars.pop("is_local", True), **vars,
+                line_addr(addr), self.program.entry_points[label],
+                self.sim.now, is_local=vars.pop("is_local", True), **vars,
             )
         except TsrfFullError:
             self.c_tsrf_stalls.inc()
             self.stalled.append(("local", (kind, addr, vars)))
             return
-        self.c_threads.inc()
+        self.c_threads.value += 1
         self._start(entry, None)
 
-    def resume_local(self, addr: int, kind: str, **updates: Any) -> None:
-        """A bank answers an LSEND; wake the waiting thread."""
-        entry = self._match_waiting(line_addr(addr), "local", LOCAL_MSG[kind])
-        if entry is None:
-            # Waiter not parked yet (engine burst in progress): retry.
-            self.schedule(self.INSTR_PS, self.resume_local, addr, kind,
-                          **updates)
-            return
-        entry.vars.update(updates)
-        entry.waiting = None
-        self._start(entry, LOCAL_MSG[kind])
-
-    def resume_entry(self, entry: TsrfEntry, kind: str, **updates: Any) -> None:
-        """A bank answers an LSEND for a *specific* thread.  Address-based
-        matching is ambiguous when two same-line threads wait on the same
-        local message kind, so bank callbacks carry their entry."""
+    def resume_entry(self, entry: TsrfEntry, kind: str,
+                     updates: Optional[Dict[str, Any]] = None) -> None:
+        """A bank answers an LSEND for a *specific* thread, merging
+        *updates* into its variables.  Address-based matching is
+        ambiguous when two same-line threads wait on the same local
+        message kind, so bank callbacks carry their entry."""
         if not entry.valid:
             raise RuntimeError(
                 f"{self.name}: bank response for a retired TSRF entry "
@@ -219,9 +209,10 @@ class ProtocolEngine(Component):
         if entry.waiting != "local":
             # Thread still mid-burst; park the response briefly.
             self.schedule(self.INSTR_PS, self.resume_entry, entry, kind,
-                          **updates)
+                          updates)
             return
-        entry.vars.update(updates)
+        if updates:
+            entry.vars.update(updates)
         entry.waiting = None
         self._start(entry, LOCAL_MSG[kind])
 
@@ -238,37 +229,44 @@ class ProtocolEngine(Component):
                 f" pc={entry.pc}"
                 + (f" code={dispatch_code}" if dispatch_code is not None
                    else " new-thread"))
-        self.tw_tsrf.set(self.now, self.tsrf.occupancy())
-        start_at = max(0, self.busy_until - self.now)
+        now = self.sim.now
+        self.tw_tsrf.set(now, self.tsrf.live)
+        busy_until = self.busy_until
+        if busy_until < now:
+            busy_until = now
+        start_at = busy_until - now
         probe = entry.vars.get("probe")
         if probe is not None:
             # stamped at the (possibly future) execution-unit grant time,
             # so engine-occupancy queueing shows up in the dispatch hop
-            probe.stamp("pe_dispatch", self.now + start_at)
-        self.busy_until = max(self.busy_until, self.now) + self.INSTR_PS
+            probe.stamp("pe_dispatch", busy_until)
+        self.busy_until = busy_until + self.INSTR_PS
         self.schedule(start_at, self._execute, entry, dispatch_code)
 
     def _execute(self, entry: TsrfEntry, dispatch_code: Optional[int]) -> None:
-        effects = []
-        entry.vars["_effects"] = effects
         executed, result = self.sequencer.run(entry, dispatch_code)
-        self.c_instructions.inc(executed)
+        self.c_instructions.value += executed
         self.a_occupancy.add(executed)
         burst_ps = executed * self.INSTR_PS
-        self.busy_until = max(self.busy_until, self.now + burst_ps)
-        for fn, args in effects:
-            self.schedule(burst_ps, fn, *args)
-        entry.vars.pop("_effects", None)
-        if result is StepResult.DONE:
+        end = self.sim.now + burst_ps
+        if end > self.busy_until:
+            self.busy_until = end
+        effects = self._effects
+        if effects:
+            schedule = self.schedule
+            for fn, args in effects:
+                schedule(burst_ps, fn, *args)
+            effects.clear()
+        if result is DONE:
             self.schedule(burst_ps, self._retire, entry)
-        elif result is StepResult.BLOCKED_EXTERNAL:
+        elif result is BLOCKED_EXTERNAL:
             entry.waiting = "external"
         else:
             entry.waiting = "local"
 
     def _retire(self, entry: TsrfEntry) -> None:
         self.tsrf.free(entry)
-        self.tw_tsrf.set(self.now, self.tsrf.occupancy())
+        self.tw_tsrf.set(self.sim.now, self.tsrf.live)
         if self.stalled:
             origin, payload = self.stalled.popleft()
             if origin == "ext":
@@ -284,7 +282,7 @@ class ProtocolEngine(Component):
     def _effect(self, entry: TsrfEntry, fn: Callable, *args: Any) -> None:
         """Defer an outgoing message to the end of the current burst, so
         sends are charged the microinstructions that precede them."""
-        entry.vars["_effects"].append((fn, args))
+        self._effects.append((fn, args))
 
     def _send(self, entry: TsrfEntry, ptype: PacketType, dst: int,
               **info: Any) -> None:
@@ -376,7 +374,7 @@ class ProtocolEngine(Component):
             addr = entry.addr
 
             def on_data(version: int) -> None:
-                self.resume_entry(entry, "BANK_DATA", version=version)
+                self.resume_entry(entry, "BANK_DATA", {"version": version})
 
             self._effect(entry, bank.service_fetch_for_fwd, addr, inval,
                          on_data, entry.vars.get("probe"))
@@ -468,12 +466,14 @@ class ProtocolEngine(Component):
             def on_done(kind: str, version: int, direntry: DirectoryEntry,
                         no_others: bool) -> None:
                 code = "HOME_CLEAN" if kind == "clean" else "HOME_DIRTY"
-                self.resume_entry(
-                    entry, code, version=version, dir_entry=direntry,
-                    no_other_sharers=no_others,
-                    owner=direntry.owner,
-                    sharers=sorted(direntry.sharers - {entry.vars["req_node"]}),
-                )
+                self.resume_entry(entry, code, {
+                    "version": version,
+                    "dir_entry": direntry,
+                    "no_other_sharers": no_others,
+                    "owner": direntry.owner,
+                    "sharers": sorted(direntry.sharers
+                                      - {entry.vars["req_node"]}),
+                })
 
             self._effect(entry, bank.service_home_lookup, addr, exclusive,
                          entry.vars["req_node"], on_done,

@@ -58,10 +58,17 @@ class TsrfEntry:
 
 
 class Tsrf:
-    """The 16-entry register file with address-based matching."""
+    """The 16-entry register file.
+
+    ``live`` counts the valid entries; :meth:`allocate` and :meth:`free`
+    keep it, so occupancy, ``free_count`` and ``high_water`` never scan
+    the file.  Waiting threads are matched by the owning engine, which
+    also checks the pending RECEIVE's dispatch codes.
+    """
 
     def __init__(self, entries: int = TSRF_ENTRIES) -> None:
         self.entries: List[TsrfEntry] = [TsrfEntry(i) for i in range(entries)]
+        self.live = 0
         self.high_water = 0
         self.allocations = 0
         self.frees = 0
@@ -76,11 +83,11 @@ class Tsrf:
                 entry.pc = pc
                 entry.waiting = None
                 entry.timer = now_ps
-                entry.vars = dict(vars)
+                entry.vars = vars
                 self.allocations += 1
-                self.high_water = max(
-                    self.high_water, sum(1 for e in self.entries if e.valid)
-                )
+                live = self.live = self.live + 1
+                if live > self.high_water:
+                    self.high_water = live
                 return entry
         self.alloc_failures += 1
         raise TsrfFullError(f"all {len(self.entries)} TSRF entries busy")
@@ -88,29 +95,15 @@ class Tsrf:
     def free(self, entry: TsrfEntry) -> None:
         if entry.valid:
             self.frees += 1
+            self.live -= 1
         entry.reset()
 
-    def match(self, addr: int, waiting: str) -> Optional[TsrfEntry]:
-        """Find the entry waiting (in mode *waiting*) on transaction *addr*."""
-        for entry in self.entries:
-            if entry.valid and entry.waiting == waiting and entry.addr == addr:
-                return entry
-        return None
-
-    def find(self, addr: int) -> Optional[TsrfEntry]:
-        """Find any valid entry for *addr* (used for the early-forwarded-
-        request race, which piggybacks on the outstanding request's entry)."""
-        for entry in self.entries:
-            if entry.valid and entry.addr == addr:
-                return entry
-        return None
-
     def occupancy(self) -> int:
-        return sum(1 for e in self.entries if e.valid)
+        return self.live
 
     @property
     def free_count(self) -> int:
-        return len(self.entries) - self.occupancy()
+        return len(self.entries) - self.live
 
     def timed_out(self, now_ps: int, timeout_ps: int) -> List[TsrfEntry]:
         """Entries older than *timeout_ps* (RAS error-recovery hook)."""

@@ -26,47 +26,53 @@ PRIORITIES = 4
 
 
 class PriorityFifos:
-    """Four per-priority FIFOs with a shared capacity limit."""
+    """Four per-priority FIFOs with a shared capacity limit.
+
+    ``size`` is kept on every push and pop, so ``full`` and ``len()``
+    never sum the four FIFOs."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self.fifos = [deque() for _ in range(PRIORITIES)]
+        self.size = 0
 
     def __len__(self) -> int:
-        return sum(len(f) for f in self.fifos)
+        return self.size
 
     @property
     def full(self) -> bool:
-        return len(self) >= self.capacity
+        return self.size >= self.capacity
 
     def push(self, pkt: Packet) -> bool:
         """Append *pkt*; returns False when the queue is full."""
-        if self.full:
+        if self.size >= self.capacity:
             return False
         self.fifos[pkt.priority].append(pkt)
+        self.size += 1
         return True
 
     def peek_highest(self) -> Optional[Packet]:
         """Head packet of the highest non-empty priority level."""
-        for prio in range(PRIORITIES - 1, -1, -1):
-            if self.fifos[prio]:
-                return self.fifos[prio][0]
+        for fifo in reversed(self.fifos):
+            if fifo:
+                return fifo[0]
         return None
 
     def pop_highest(self) -> Optional[Packet]:
-        for prio in range(PRIORITIES - 1, -1, -1):
-            if self.fifos[prio]:
-                return self.fifos[prio].popleft()
+        for fifo in reversed(self.fifos):
+            if fifo:
+                self.size -= 1
+                return fifo.popleft()
         return None
 
     def pop_first(self, predicate: Callable[[Packet], bool]) -> Optional[Packet]:
         """Pop the head of the highest priority level whose head packet
         satisfies *predicate* (used for the IQ bypass rule)."""
-        for prio in range(PRIORITIES - 1, -1, -1):
-            fifo = self.fifos[prio]
+        for fifo in reversed(self.fifos):
             if fifo and predicate(fifo[0]):
+                self.size -= 1
                 return fifo.popleft()
         return None
 
@@ -115,6 +121,9 @@ class InputQueue(Component):
         self.queue = PriorityFifos(capacity)
         #: disposition vector: PacketType -> delivery callback
         self.disposition: Dict[PacketType, Callable[[Packet], bool]] = {}
+        #: each handler's ``can_accept`` probe (None: always accepts),
+        #: looked up once when the vector entry is programmed
+        self._probes: Dict[PacketType, Optional[Callable[[Packet], bool]]] = {}
         self.c_received = self.stats.counter("packets_received")
         self.c_delivered = self.stats.counter("packets_delivered")
         self.c_bypassed = self.stats.counter("low_priority_bypasses")
@@ -122,14 +131,19 @@ class InputQueue(Component):
 
     def set_disposition(self, ptype: PacketType, handler: Callable[[Packet], bool]) -> None:
         """Program one entry of the disposition vector.  The handler returns
-        True when the module accepted the packet."""
+        True when the module accepted the packet; an optional
+        ``can_accept(pkt)`` method on it lets the IQ hold the packet back
+        (and let lower-priority traffic bypass it) while the module is
+        blocked."""
         self.disposition[ptype] = handler
+        self._probes[ptype] = getattr(handler, "can_accept", None)
 
     def set_default_disposition(self, handler: Callable[[Packet], bool]) -> None:
         """Program every not-yet-set entry to *handler* (the system
         controller receives everything by default after reset)."""
         for ptype in PacketType:
-            self.disposition.setdefault(ptype, handler)
+            if ptype not in self.disposition:
+                self.set_disposition(ptype, handler)
 
     @property
     def full(self) -> bool:
@@ -139,7 +153,7 @@ class InputQueue(Component):
         """Router hands over a terminal packet; False when the IQ is full."""
         if not self.queue.push(pkt):
             return False
-        self.c_received.inc()
+        self.c_received.value += 1
         self._schedule_drain()
         return True
 
@@ -150,42 +164,32 @@ class InputQueue(Component):
 
     def _drain(self) -> None:
         self._drain_scheduled = False
-        progressed = True
-        while progressed:
-            progressed = False
+        queue = self.queue
+        disposition = self.disposition
+        while queue.size:
             # Highest-priority head first; if its destination is blocked the
             # bypass rule lets a lower-priority head proceed instead.
-            pkt = self.queue.pop_first(self._deliverable)
-            if pkt is not None:
-                head = self.queue.peek_highest()
-                if head is not None and head.priority > pkt.priority:
-                    self.c_bypassed.inc()
-                handler = self._handler_for(pkt)
-                delivered = handler(pkt)
-                if not delivered:  # pragma: no cover - handler lied in probe
-                    raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
-                self.c_delivered.inc()
-                progressed = True
-        if len(self.queue):
+            pkt = queue.pop_first(self._deliverable)
+            if pkt is None:
+                break
+            head = queue.peek_highest()
+            if head is not None and head.priority > pkt.priority:
+                self.c_bypassed.value += 1
+            if not disposition[pkt.ptype](pkt):  # pragma: no cover - handler lied in probe
+                raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
+            self.c_delivered.value += 1
+        if queue.size:
             # Something is still blocked; retry after a cycle.
-            self.schedule(2000, self._poll_blocked)
-
-    def _poll_blocked(self) -> None:
-        self._schedule_drain()
-
-    def _handler_for(self, pkt: Packet) -> Callable[[Packet], bool]:
-        handler = self.disposition.get(pkt.ptype)
-        if handler is None:
-            raise KeyError(
-                f"{self.name}: no disposition entry for {pkt.ptype.name}"
-            )
-        return handler
+            self.schedule(2000, self._schedule_drain)
 
     def _deliverable(self, pkt: Packet) -> bool:
-        probe = getattr(self._handler_for(pkt), "can_accept", None)
-        if probe is not None:
-            return bool(probe(pkt))
-        return True
+        try:
+            probe = self._probes[pkt.ptype]
+        except KeyError:
+            raise KeyError(
+                f"{self.name}: no disposition entry for {pkt.ptype.name}"
+            ) from None
+        return probe is None or bool(probe(pkt))
 
     def __len__(self) -> int:
         return len(self.queue)

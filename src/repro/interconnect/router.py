@@ -18,7 +18,8 @@ single fall-through cycle when an output is free; links add serialisation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from ..sim.engine import Clock, Component, Simulator, ns
 from .packets import Packet
@@ -54,18 +55,12 @@ class Link:
         self.propagation_ps = ns(params.propagation_ns)
         self.packets = 0
 
-    def serialization_ps(self, pkt: Packet) -> int:
-        return pkt.wire_cycles * self.cycle_ps
-
-    def busy(self, now: int) -> bool:
-        return self.free_at > now
-
     def send(self, now: int, pkt: Packet) -> int:
         """Occupy the link; returns the arrival time at the far end."""
-        start = max(now, self.free_at)
-        self.free_at = start + self.serialization_ps(pkt)
+        start = self.free_at if self.free_at > now else now
+        self.free_at = end = start + pkt.wire_cycles * self.cycle_ps
         self.packets += 1
-        return self.free_at + self.propagation_ps
+        return end + self.propagation_ps
 
 
 class Router(Component):
@@ -86,9 +81,16 @@ class Router(Component):
         self.iq = iq
         self.oq = oq
         self.params = params or RouterParams()
-        self._clock = self.params.clock()
+        clock = self.params.clock()
+        #: one router cycle and the fall-through delay, in ps
+        self._cycle_ps = clock.cycles(1)
+        self._fall_through_ps = clock.cycles(self.params.fall_through_cycles)
         self.links: Dict[int, Link] = {}
         self.peers: Dict[int, "Router"] = {}
+        #: destination -> outgoing links on its minimal paths, in the
+        #: topology's neighbour order (filled on first use; the topology
+        #: and links are fixed once the system is built)
+        self._minimal: Dict[int, Tuple[Link, ...]] = {}
         self.buffered = 0
         self.c_transit = self.stats.counter("transit_packets")
         self.c_injected = self.stats.counter("injected_packets")
@@ -107,6 +109,15 @@ class Router(Component):
         """Create the outgoing half-channel towards *peer*."""
         self.links[peer.node_id] = Link(self.node_id, peer.node_id, self.params)
         self.peers[peer.node_id] = peer
+        self._minimal.clear()
+
+    def _minimal_links(self, dst: int) -> Tuple[Link, ...]:
+        links = self.links
+        minimal = self._minimal[dst] = tuple(
+            links[n] for n in self.topology.minimal_next_hops(self.node_id, dst)
+            if n in links
+        )
+        return minimal
 
     # -- injection -------------------------------------------------------
 
@@ -119,15 +130,16 @@ class Router(Component):
         self.schedule(0, self._drain_oq)
 
     def _drain_oq(self) -> None:
+        pop = self.oq.queue.pop_highest
         while self.buffered < self.params.buffer_pool:
-            pkt = self.oq.pop()
+            pkt = pop()
             if pkt is None:
                 return
-            pkt.inject_time = self.now
-            self.c_injected.inc()
+            pkt.inject_time = self.sim.now
+            self.c_injected.value += 1
             self._handle(pkt)
         # Buffer pressure: retry once a cycle until space frees up.
-        self.schedule(self._clock.cycles(1), self._drain_oq)
+        self.schedule(self._cycle_ps, self._drain_oq)
 
     def inject(self, pkt: Packet) -> bool:
         """Convenience entry point used by tests: push via the OQ."""
@@ -136,63 +148,69 @@ class Router(Component):
     # -- forwarding ------------------------------------------------------
 
     def _handle(self, pkt: Packet) -> None:
+        """A packet was injected here or finished flying over an incoming
+        channel."""
         if pkt.dst == self.node_id:
             self._deliver(pkt)
             return
         self.buffered += 1
-        self.schedule(self._clock.cycles(self.params.fall_through_cycles), self._forward, pkt)
+        self.schedule(self._fall_through_ps, self._forward, pkt)
 
     def _deliver(self, pkt: Packet) -> None:
         if self.iq.receive(pkt):
-            self.c_delivered.inc()
+            self.c_delivered.value += 1
             self.a_hops.add(pkt.age)
-            self.a_latency.add(self.now - pkt.inject_time)
+            self.a_latency.add(self.sim.now - pkt.inject_time)
         else:
             # IQ full: hold the packet in the router buffer and retry; the
             # IQ is sized to make this rare (§2.6.2).
-            self.schedule(self._clock.cycles(1), self._deliver, pkt)
+            self.schedule(self._cycle_ps, self._deliver, pkt)
 
     def _forward(self, pkt: Packet) -> None:
-        minimal = [
-            n for n in self.topology.minimal_next_hops(self.node_id, pkt.dst)
-            if n in self.links
-        ]
-        free_minimal = [n for n in minimal if not self.links[n].busy(self.now)]
-        if free_minimal:
-            choice = min(free_minimal, key=lambda n: self.links[n].free_at)
-            self._transmit(pkt, choice)
+        now = self.sim.now
+        minimal = self._minimal.get(pkt.dst)
+        if minimal is None:
+            minimal = self._minimal_links(pkt.dst)
+        # the free minimal link that freed up first (ties: the first in
+        # neighbour order)
+        best = None
+        for link in minimal:
+            free_at = link.free_at
+            if free_at <= now and (best is None or free_at < best.free_at):
+                best = link
+        if best is not None:
+            self._transmit(pkt, best)
             return
         # All minimal outputs busy: hot potato onto any free output, with
         # age increment and priority escalation.
-        free_any = [n for n in self.links if not self.links[n].busy(self.now)]
-        if free_any and len(minimal) <= self.params.misroute_threshold:
-            choice = free_any[0]
-            pkt.age += 1
-            pkt.priority = min(3, pkt.priority + pkt.age // self.params.age_per_priority)
-            self.c_misroutes.inc()
-            self._transmit(pkt, choice)
-            return
+        if len(minimal) <= self.params.misroute_threshold:
+            for link in self.links.values():
+                if link.free_at <= now:
+                    pkt.age += 1
+                    pkt.priority = min(
+                        3, pkt.priority + pkt.age // self.params.age_per_priority)
+                    self.c_misroutes.value += 1
+                    self._transmit(pkt, link)
+                    return
         # Everything busy: wait for the earliest minimal link.
-        target = min(minimal, key=lambda n: self.links[n].free_at)
-        wait = max(self._clock.cycles(1), self.links[target].free_at - self.now)
+        target = min(minimal, key=_free_at)
+        wait = max(self._cycle_ps, target.free_at - now)
         self.schedule(wait, self._forward, pkt)
 
-    def _transmit(self, pkt: Packet, neighbor: int) -> None:
-        link = self.links[neighbor]
-        arrival = link.send(self.now, pkt)
+    def _transmit(self, pkt: Packet, link: Link) -> None:
+        now = self.sim.now
+        arrival = link.send(now, pkt)
         self.buffered -= 1
-        self.c_transit.inc()
-        self.c_bytes.inc(pkt.size_bits // 8)
+        self.c_transit.value += 1
+        self.c_bytes.value += pkt.size_bits // 8
         if pkt.probe is not None:
             # one stamp per link hop, at the far-end arrival time, so
             # multi-hop flight shows up as accumulated pkt_transit time
             pkt.probe.stamp("pkt_transit", arrival)
-        peer = self.peers[neighbor]
-        self.schedule(arrival - self.now, peer._arrive, pkt)
+        self.schedule(arrival - now, self.peers[link.dst]._handle, pkt)
 
-    def _arrive(self, pkt: Packet) -> None:
-        """A packet finished flying over an incoming channel."""
-        self._handle(pkt)
+
+_free_at = attrgetter("free_at")
 
 
 def build_routers(

@@ -78,3 +78,50 @@ class TestDeliveryProperties:
             hops = topo.distance(src, dst)
             # per hop: >= 2ns fall-through + 4ns serialisation + 2ns wire
             assert t >= hops * 8000
+
+
+def reference_forward(router, pkt, now):
+    """The output choice of ``Router._forward`` written with list
+    comprehensions and ``min`` (the rule the router implements)."""
+    links = router.links
+    minimal = [n for n in router.topology.minimal_next_hops(router.node_id,
+                                                            pkt.dst)
+               if n in links]
+    free_minimal = [n for n in minimal if not links[n].free_at > now]
+    if free_minimal:
+        return ("send", min(free_minimal, key=lambda n: links[n].free_at))
+    free_any = [n for n in links if not links[n].free_at > now]
+    if free_any and len(minimal) <= router.params.misroute_threshold:
+        return ("misroute", free_any[0])
+    target = min(minimal, key=lambda n: links[n].free_at)
+    return ("wait", max(router.params.clock().cycles(1),
+                        links[target].free_at - now))
+
+
+class TestForwardingChoice:
+    @settings(max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 300), st.data())
+    def test_same_link_as_the_min_rule(self, seed, data):
+        """Ties included: among equally busy links the first in
+        neighbour order wins, as ``min`` picks it."""
+        topo = random_topology(seed, 8)
+        sim = Simulator()
+        routers = build_routers(sim, topo)
+        node = data.draw(st.sampled_from(topo.nodes))
+        dst = data.draw(st.sampled_from([n for n in topo.nodes if n != node]))
+        router = routers[node]
+        now = 10_000
+        for link in router.links.values():
+            link.free_at = data.draw(st.sampled_from(
+                [0, 8_000, now, 12_000, 14_000]))
+        sim.now = now
+        expected = reference_forward(router, Packet(PacketType.READ, src=node,
+                                                    dst=dst), now)
+        chosen = []
+        router._transmit = lambda pkt, link: chosen.append(
+            ("misroute" if router.c_misroutes.value else "send", link.dst))
+        router.schedule = lambda delay, fn, *args: chosen.append(
+            ("wait", delay))
+        router._forward(Packet(PacketType.READ, src=node, dst=dst))
+        assert chosen == [expected]

@@ -43,7 +43,8 @@ from repro.checkpoint.format import (
 from repro.core import CoherenceChecker, PiranhaSystem, preset
 from repro.harness import (DssFactory, OltpFactory, RunSpec, clear_cache,
                            run_jobs)
-from repro.harness.runner import DISK_CACHE, build_system, simulate
+from repro.harness.runner import (DISK_CACHE, assemble_result, build_system,
+                                  simulate)
 from repro.harness.sweep import load_manifest, record_from_result, sweep_field
 from repro.sim.engine import _PeriodicTick
 from repro.workloads import DssParams, OltpParams
@@ -193,6 +194,14 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 1"):
             validate_manifest(manifest, strict=False)
 
+    def test_schema_3_refused_even_when_forced(self):
+        # schema-3 payloads lack the TSRF live count and the priority
+        # FIFOs' length, which the engines and queues now read
+        manifest = self._manifest(b"")
+        manifest["schema"] = 3
+        with pytest.raises(CheckpointError, match="schema 3"):
+            validate_manifest(manifest, strict=False)
+
     def test_python_mismatch_rejected(self):
         manifest = self._manifest(b"")
         manifest["python"] = "2.7"
@@ -243,6 +252,32 @@ class TestCheckpointFiles:
         doc = metrics_doc(restored, None, probe_rate=16,
                           sample_interval_ps=int(10e6))
         assert json.dumps(doc, sort_keys=True) == baseline
+
+    def test_restore_with_protocol_threads_in_flight(self):
+        """A 2-node run snapshotted while TSRF threads are mid-transaction
+        (after their engines bound the microcode) finishes, once
+        restored, with the payload of the uninterrupted run."""
+        spec = RunSpec(preset("P2"), OltpFactory(TINY_OLTP), nodes=2)
+        base_system, _ = build_system(spec)
+        base_system.run_to_completion()
+
+        system, _ = build_system(spec)
+        system.start()
+        engines = [e for node in system.nodes
+                   for e in (node.home_engine, node.remote_engine)]
+        while not any(e.tsrf.live >= 2 for e in engines):
+            assert system.sim.run(max_events=50)
+        assert any(e.sequencer._table is not None for e in engines)
+        restored = restore_system(snapshot_bytes(system))
+        restored_engines = [e for node in restored.nodes
+                            for e in (node.home_engine, node.remote_engine)]
+        assert all(e.sequencer._table is None for e in restored_engines)
+        assert [e.tsrf.live for e in restored_engines] == \
+            [e.tsrf.live for e in engines]
+        restored.run_to_completion()
+        assert restored.sim.events_fired == base_system.sim.events_fired
+        assert assemble_result(restored, spec).payload_tuple() == \
+            assemble_result(base_system, spec).payload_tuple()
 
     def test_config_digest_mismatch_refused(self, tmp_path):
         factory = OltpFactory(TINY_OLTP)

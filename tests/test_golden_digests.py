@@ -121,6 +121,43 @@ def test_p8_oltp_event_count():
     assert system.sim.events_fired == P8_OLTP_EVENTS
 
 
+#: the 4 x P4 OLTP point (4 txns/CPU after 6 warm-up, seed 2000): the
+#: events it fires, and per node the home and remote engines'
+#: ``(microinstructions, threads, tsrf_stalls)`` and the router's
+#: ``(transit_packets, misroutes)`` — the protocol engines, TSRF and
+#: routers only do work on multi-node points
+P4X4_OLTP_EVENTS = 343_286
+P4X4_OLTP_NODES = [
+    ((7985, 989, 0), (5061, 797, 0), (2267, 301)),
+    ((7390, 927, 0), (6060, 956, 0), (2248, 310)),
+    ((7253, 915, 0), (6267, 990, 0), (2161, 300)),
+    ((7670, 971, 0), (5918, 928, 0), (2015, 256)),
+]
+
+
+def test_p4x4_oltp_engine_and_router_pins():
+    from repro.core import PiranhaSystem
+    from repro.workloads import OltpWorkload
+
+    config = preset("P4")
+    params = OltpParams(transactions=4, warmup_transactions=6)
+    assert params.seed == 2000
+    system = PiranhaSystem(config, num_nodes=4)
+    system.attach_workload(OltpWorkload(params, cpus_per_node=config.cpus,
+                                        num_nodes=4))
+    system.run_to_completion()
+    assert system.sim.events_fired == P4X4_OLTP_EVENTS
+    measured = []
+    for node in system.nodes:
+        engines = tuple(
+            (e.c_instructions.value, e.c_threads.value, e.c_tsrf_stalls.value)
+            for e in (node.home_engine, node.remote_engine))
+        router = system.routers[node.node_id]
+        measured.append(engines + (
+            (router.c_transit.value, router.c_misroutes.value),))
+    assert measured == P4X4_OLTP_NODES
+
+
 def regen() -> None:
     doc = {}
     for name in sorted(CANONICAL):

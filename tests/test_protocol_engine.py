@@ -174,3 +174,25 @@ class TestEngineAccounting:
         latency, source = issue(system, 1, 0, AccessKind.WH64, HOME0)
         assert source == ReplySource.REMOTE_MEM
         assert system.nodes[1].l1d[0].peek(HOME0).state == MESI.MODIFIED
+
+
+class TestBankAnswers:
+    def test_answer_to_a_thread_mid_burst_is_retried_with_its_updates(
+            self, system):
+        """A bank can answer before the thread's burst has parked it at
+        its LRECEIVE; the answer waits a cycle and its updates reach the
+        thread when it resumes."""
+        from repro.core.microprograms import LOCAL_MSG
+
+        engine = system.nodes[1].remote_engine
+        entry = engine.tsrf.allocate(0x40, pc=0, now_ps=0, req_node=0)
+        started = []
+        engine._start = lambda e, code: started.append(
+            (e, code, dict(e.vars)))
+        engine.resume_entry(entry, "BANK_DATA", {"version": 3})
+        assert started == []          # still mid-burst: parked briefly
+        entry.waiting = "local"       # the burst reaches its LRECEIVE
+        system.sim.run()
+        assert started == [(entry, LOCAL_MSG["BANK_DATA"],
+                            {"req_node": 0, "version": 3})]
+        assert entry.waiting is None

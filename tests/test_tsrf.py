@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import PiranhaSystem, preset
+from repro.core.microcode import Op
 from repro.core.tsrf import TSRF_ENTRIES, Tsrf, TsrfFullError
+from repro.interconnect.packets import PacketType
 
 
 class TestAllocation:
@@ -45,27 +48,40 @@ class TestAllocation:
         assert tsrf.occupancy() == 0
 
 
+def parked_on_reply(engine, addr):
+    """A thread of *engine* parked at a RECEIVE that takes DATA_REPLY."""
+    code = int(PacketType.DATA_REPLY)
+    pc = next(pc for pc, codes in sorted(engine.sequencer.accepted_codes().items())
+              if engine.program.word_at(pc).op == Op.RECEIVE and code in codes)
+    entry = engine.tsrf.allocate(addr, pc, 0)
+    entry.waiting = "external"
+    return entry
+
+
 class TestMatching:
-    def test_match_by_address_and_mode(self):
-        tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
-        e.waiting = "external"
-        assert tsrf.match(0x1000, "external") is e
-        assert tsrf.match(0x1000, "local") is None
-        assert tsrf.match(0x2000, "external") is None
+    """A reply is matched against the TSRF entries by the owning engine:
+    valid, waiting at a RECEIVE, same line, and a programmed branch
+    slot for the reply's code."""
 
-    def test_find_any(self):
-        tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
-        assert tsrf.find(0x1000) is e
-        assert tsrf.find(0x2000) is None
+    @pytest.fixture
+    def engine(self):
+        return PiranhaSystem(preset("P2"), num_nodes=2).nodes[1].remote_engine
 
-    def test_invalid_entries_never_match(self):
-        tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
-        e.waiting = "external"
-        tsrf.free(e)
-        assert tsrf.match(0x1000, "external") is None
+    def test_match_by_address_and_mode(self, engine):
+        e = parked_on_reply(engine, 0x1000)
+        code = int(PacketType.DATA_REPLY)
+        assert engine.match_reply(0x1000, code) is e
+        assert engine.match_reply(0x2000, code) is None
+        unaccepted = next(c for c in range(16)
+                          if c not in engine.sequencer.accepted_codes()[e.pc])
+        assert engine.match_reply(0x1000, unaccepted) is None
+        e.waiting = "local"
+        assert engine.match_reply(0x1000, code) is None
+
+    def test_invalid_entries_never_match(self, engine):
+        e = parked_on_reply(engine, 0x1000)
+        engine.tsrf.free(e)
+        assert engine.match_reply(0x1000, int(PacketType.DATA_REPLY)) is None
 
 
 class TestTimeouts:
