@@ -62,7 +62,8 @@ MAGIC = b"RPCKPT01"
 #: IQ its disposition probes, routers their minimal-link cache, and
 #: protocol engines their burst-effects list; sequencers drop their
 #: bound table when pickled.
-SCHEMA = 4
+#: 5: L2 banks no longer carry ``_bank_mask`` / ``_bank_shift``.
+SCHEMA = 5
 
 _LEN = struct.Struct(">I")
 

@@ -37,16 +37,16 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..interconnect.packets import PacketType
 from ..mem.addr import LINE_MASK, LINE_SHIFT
 from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig
 from .directory import DirectoryEntry, DirState
 from .dup_tags import L2_OWNER, DuplicateTags
-from .l1 import Eviction, L1Cache
+from .l1 import Eviction, L1Line
 from .messages import (
     MEMORY_SOURCES,
     MESI,
-    AccessKind,
     MemRequest,
     ReplySource,
     RequestType,
@@ -69,6 +69,17 @@ _DIR_SHARED_STATES = frozenset({DirState.SHARED, DirState.SHARED_COARSE})
 #: the directory a single-node (or directory-skipping) fill sees; frozen,
 #: so one instance serves every such fill
 _NO_REMOTE_COPIES = DirectoryEntry.uncached()
+_REMOTE_DIRTY, _REMOTE_MEM = ReplySource.REMOTE_DIRTY, ReplySource.REMOTE_MEM
+#: what a protocol transition returns: the requester's fill
+#: ``(state, owner, version, dirty)``
+Fill = Tuple[MESI, bool, int, bool]
+#: the packet a remote-home miss sends its home, by request type
+_REMOTE_PTYPE = {
+    _READ: PacketType.READ,
+    _READ_EXCLUSIVE: PacketType.READ_EXCLUSIVE,
+    _UPGRADE_REQ: PacketType.EXCLUSIVE,
+    _NO_DATA_REQ: PacketType.EXCLUSIVE_NO_DATA,
+}
 
 
 @dataclass(slots=True)
@@ -114,9 +125,7 @@ class L2Bank(Component):
         self.inclusive = p.inclusive
         self.assoc = p.assoc
         self.num_sets = p.sets_per_bank
-        self._bank_mask = p.banks - 1
-        self._bank_shift = LINE_SHIFT
-        self._nbank_bits = self._bank_mask.bit_length()
+        self._nbank_bits = (p.banks - 1).bit_length()
         # Per-set OrderedDict tag -> L2Line in *load* order (replacement is
         # least-recently-loaded; lookups do not reorder).
         self.sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
@@ -175,9 +184,6 @@ class L2Bank(Component):
         # inline this as ``(tag >> self._nbank_bits) % self.num_sets``.
         return ((line >> LINE_SHIFT) >> self._nbank_bits) % self.num_sets
 
-    def _bank_bits(self) -> int:
-        return self._nbank_bits
-
     def _l2_line(self, line: int) -> Optional[L2Line]:
         return self.sets[self._set_of(line)].get(line >> LINE_SHIFT)
 
@@ -228,8 +234,7 @@ class L2Bank(Component):
                     if reqtype == _READ:
                         # Complete from the local copy (hit-equivalent).
                         self.schedule(self.t_ics, self._fill, req, line,
-                                      own.state, own.owner, own.version,
-                                      own.dirty, _L2_HIT)
+                                      *self._own_copy(_READ, own), _L2_HIT)
                         return
                     # Exclusive-class requests become upgrades — exactly
                     # what the protocol's dedicated 'exclusive' request
@@ -252,6 +257,14 @@ class L2Bank(Component):
         self._serve_miss(req, reqtype, line)
 
     # -- on-chip service paths ---------------------------------------------
+    #
+    # Every L1-miss outcome is split in two.  A timeless *transition*
+    # (``_fwd``, ``_own_copy``, ``_l2_hit``, ``_local_mem``) makes the
+    # outcome's protocol-state changes, bumps its service counter and
+    # returns the fill ``(state, owner, version, dirty)``.  The detailed
+    # tier calls it after the outcome's latency and completes the fill
+    # with :meth:`_fill`; the functional tier (:meth:`warm_request`) calls
+    # it at once and completes the fill with :meth:`_install`.
 
     def _serve_upgrade(self, req: MemRequest, line: int, cache_id: int) -> None:
         """Exclusive-upgrade grant to a CPU that already holds the line:
@@ -270,10 +283,17 @@ class L2Bank(Component):
         if self._must_wait_for_home(line):
             self._launch_remote_request(req, _UPGRADE_REQ, line)
             return
+        state, owner, version, dirty = self._own_copy(_UPGRADE_REQ, own_line)
+        self._fill(req, line, state, owner, version, dirty, _L2_HIT)
+        self._invalidate_remote_sharers_if_home(line, version, req.cpu_id)
+
+    def _own_copy(self, reqtype: RequestType, own: L1Line) -> Fill:
+        """Transition: the requester's own L1 already holds the line. A
+        read re-fills from that copy; anything else is an upgrade grant."""
+        if reqtype == _READ:
+            return own.state, own.owner, own.version, own.dirty
         self.c_upgrades.value += 1
-        version = own_line.version
-        self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_HIT)
-        self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
+        return _MODIFIED, True, own.version + 1, True
 
     def _serve_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
                    owner_id: int) -> None:
@@ -286,37 +306,46 @@ class L2Bank(Component):
 
     def _finish_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
                     owner_id: int) -> None:
-        owner_l1 = self.chip.l1_by_id(owner_id)
-        owner_line = owner_l1.peek(line)
+        owner_line = self.chip.l1_by_id(owner_id).peek(line)
         if owner_line is None:
             # Owner evicted while we were in flight (its eviction is queued
             # behind our pending entry only for *its* bank); retry the tag
             # lookup — the dup tags have been updated meanwhile.
             self.schedule(self.t_tag, self._after_tag_lookup, req, reqtype, line)
             return
+        if reqtype != _READ and self._must_wait_for_home(line):
+            # counted as a forward, then granted by the home
+            self.c_fwds.value += 1
+            self._launch_remote_request(req, _UPGRADE_REQ, line)
+            return
+        state, owner, version, dirty = self._fwd(reqtype, line, owner_id,
+                                                 owner_line)
+        self._fill(req, line, state, owner, version, dirty, _L2_FWD)
+        if reqtype != _READ:
+            self._invalidate_remote_sharers_if_home(line, version, req.cpu_id)
+
+    def _fwd(self, reqtype: RequestType, line: int, owner_id: int,
+             owner_line: L1Line) -> Fill:
+        """Transition: L1-to-L1 forward from the on-chip owner's copy."""
         self.c_fwds.value += 1
         version = owner_line.version
+        if reqtype != _READ:
+            return _MODIFIED, True, version + 1, True
         dirty = owner_line.dirty
-        if reqtype == _READ:
-            # downgrade + ownership hand-off, on the line peek() returned
-            owner_line.state = _SHARED
-            owner_line.owner = False
-            if self.chip.checker is not None:
-                self.chip.checker.on_downgrade(self.chip.node_id, owner_id, line)
-            # dirtiness travels with ownership
-            owner_line.dirty = False
-            e = self.dup.entries.get(line)
-            if e is not None:
-                if owner_id in e.sharers:
-                    e.states[owner_id] = _SHARED
-                e.owner = None
-            self._fill(req, line, _SHARED, True, version, dirty, _L2_FWD)
-        else:
-            if self._must_wait_for_home(line):
-                self._launch_remote_request(req, _UPGRADE_REQ, line)
-                return
-            self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_FWD)
-            self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
+        # downgrade + ownership hand-off, on the line peek() returned
+        owner_line.state = _SHARED
+        owner_line.owner = False
+        chip = self.chip
+        if chip.checker is not None:
+            chip.checker.on_downgrade(chip.node_id, owner_id, line)
+        # dirtiness travels with ownership
+        owner_line.dirty = False
+        e = self.dup.entries.get(line)
+        if e is not None:
+            if owner_id in e.sharers:
+                e.states[owner_id] = _SHARED
+            e.owner = None
+        return _SHARED, True, version, dirty
 
     def _serve_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
                       l2line: L2Line) -> None:
@@ -329,58 +358,59 @@ class L2Bank(Component):
 
     def _finish_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
                        l2line: L2Line) -> None:
+        if reqtype != _READ and self._must_wait_for_home(line):
+            # counted as a hit, then granted by the home
+            self.c_hits.value += 1
+            self._launch_remote_request(req, _UPGRADE_REQ, line)
+            return
+        cache_id = req.cpu_id * 2 + (1 if req.is_instr else 0)
+        state, owner, version, dirty = self._l2_hit(cache_id, reqtype, line,
+                                                    l2line)
+        self._fill(req, line, state, owner, version, dirty, _L2_HIT)
+        if reqtype != _READ:
+            self._invalidate_remote_sharers_if_home(line, version, req.cpu_id)
+
+    def _l2_hit(self, cache_id: int, reqtype: RequestType, line: int,
+                l2line: L2Line) -> Fill:
+        """Transition: serve the L2's copy."""
         self.c_hits.value += 1
         version = l2line.version
-        if reqtype == _READ:
-            cache_id = req.cpu_id * 2 + (1 if req.is_instr else 0)
-            e = self.dup.entries.get(line)
-            # no on-chip copy other than (possibly) the requester's own
-            alone = (e is None or not e.sharers
-                     or (len(e.sharers) == 1 and cache_id in e.sharers))
-            can_be_exclusive = (
-                alone
-                and line not in self.remote_cached
-                and self.our_mode.get(line) != "S"
-            )
-            if can_be_exclusive:
-                # Clean-exclusive optimisation: hand the only copy to the
-                # L1; the L2 copy is invalidated so a silent E->M upgrade
-                # cannot leave it stale.  (Inclusive mode keeps the copy;
-                # the duplicate-tag owner pointer covers staleness.)
-                if not self.inclusive:
-                    self._drop_l2_copy(line, l2line)
-                self._fill(req, line, _EXCLUSIVE, True, version,
-                           l2line.dirty, _L2_HIT)
-            else:
-                self.dup.set_l2_owner(line)
-                self._fill(req, line, _SHARED, False, version, False, _L2_HIT)
-        else:
-            if self._must_wait_for_home(line):
-                self._launch_remote_request(req, _UPGRADE_REQ, line)
-                return
-            self._fill(req, line, _MODIFIED, True, version + 1, True, _L2_HIT)
-            self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
+        if reqtype != _READ:
+            return _MODIFIED, True, version + 1, True
+        e = self.dup.entries.get(line)
+        # no on-chip copy other than (possibly) the requester's own
+        alone = (e is None or not e.sharers
+                 or (len(e.sharers) == 1 and cache_id in e.sharers))
+        if (alone and line not in self.remote_cached
+                and self.our_mode.get(line) != "S"):
+            # Clean-exclusive optimisation: hand the only copy to the
+            # L1; the L2 copy is invalidated so a silent E->M upgrade
+            # cannot leave it stale.  (Inclusive mode keeps the copy;
+            # the duplicate-tag owner pointer covers staleness.)
+            if not self.inclusive:
+                self._drop_l2_copy(line, l2line)
+            return _EXCLUSIVE, True, version, l2line.dirty
+        self.dup.set_l2_owner(line)
+        return _SHARED, False, version, False
 
     # -- miss path -----------------------------------------------------------
 
     def _serve_miss(self, req: MemRequest, reqtype: RequestType, line: int) -> None:
-        if self.chip.is_home(line):
-            mc = self.chip.mcs[self.bank_idx]
-            wants_data = reqtype != _NO_DATA_REQ
-            if not wants_data and not self._multi_node:
-                # Single node: no directory exists; grant straight away.
-                self.c_wh64_data_avoided.value += 1
-                self.schedule(self.t_ics, self._finish_local_mem, req, reqtype,
-                              line, 0, True)
-                return
-            if not wants_data:
-                self.c_wh64_data_avoided.value += 1
-            res = mc.read_line(line, req.probe)  # data + in-ECC directory
-            self.schedule(res.critical_word_ps + self.t_ics,
-                          self._finish_local_mem, req, reqtype, line,
-                          res.critical_word_ps, False)
-        else:
+        if not self.chip.is_home(line):
             self._launch_remote_request(req, reqtype, line)
+            return
+        if reqtype == _NO_DATA_REQ:
+            self.c_wh64_data_avoided.value += 1
+            if not self._multi_node:
+                # Single node: no directory exists; grant straight away.
+                self.schedule(self.t_ics, self._finish_local_mem, req,
+                              reqtype, line, 0, True)
+                return
+        mc = self.chip.mcs[self.bank_idx]
+        res = mc.read_line(line, req.probe)  # data + in-ECC directory
+        self.schedule(res.critical_word_ps + self.t_ics,
+                      self._finish_local_mem, req, reqtype, line,
+                      res.critical_word_ps, False)
 
     def _finish_local_mem(self, req: MemRequest, reqtype: RequestType,
                           line: int, mem_ps: int, skipped_dir: bool) -> None:
@@ -388,63 +418,63 @@ class L2Bank(Component):
             direntry = _NO_REMOTE_COPIES
         else:
             direntry = self.chip.dirstore.read(line)
+        if direntry.state == _DIR_EXCLUSIVE:
+            # 3-hop: a remote node owns the line dirty.
+            self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
+            return
+        needs_invals = (reqtype != _READ
+                        and direntry.state in _DIR_SHARED_STATES)
+        if needs_invals:
+            # The background campaign below must write the directory
+            # before any other home-side transaction for the line runs
+            # (its sharer snapshot is only valid under serialisation).
+            self._local_inval_due.add(line)
+        state, owner, version, dirty = self._local_mem(reqtype, line, direntry)
+        self._fill(req, line, state, owner, version, dirty, _LOCAL_MEM)
+        if needs_invals:
+            # Eager exclusive grant; the home engine drives the remote
+            # invalidations and gathers the acks in the background.
+            # (no probe: the campaign runs after the eager grant
+            # completed the miss, off its critical path)
+            self.chip.home_engine.deliver_local(
+                "NEW_LOCAL_INVAL", line,
+                req_node=self.chip.node_id, is_local=True,
+                sharers=sorted(direntry.sharers - {self.chip.node_id}),
+                dir_entry=direntry, req_cpu=req.cpu_id,
+                # epoch: sharers hold <= the pre-grant version
+                version=version - 1,
+            )
+
+    def _local_mem(self, reqtype: RequestType, line: int,
+                   direntry: DirectoryEntry) -> Fill:
+        """Transition: fill from home memory; no remote node holds the
+        line dirty (*direntry* is not EXCLUSIVE)."""
+        self.c_local_mem.value += 1
         version = self.chip.mem_version(line)
-        if reqtype == _READ:
-            if direntry.state == _DIR_EXCLUSIVE:
-                # 3-hop: a remote node owns the line dirty.
-                self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
-                return
-            self.c_local_mem.value += 1
-            if direntry.state == _DIR_UNCACHED:
-                self._fill(req, line, _EXCLUSIVE, True, version, False,
-                           _LOCAL_MEM)
-            else:
-                self.remote_cached.add(line)
-                self._fill(req, line, _SHARED, True, version, False,
-                           _LOCAL_MEM)
-        else:
-            if direntry.state == _DIR_EXCLUSIVE:
-                self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
-                return
-            self.c_local_mem.value += 1
-            needs_invals = direntry.state in _DIR_SHARED_STATES
-            if needs_invals:
-                # The background campaign below must write the directory
-                # before any other home-side transaction for the line runs
-                # (its sharer snapshot is only valid under serialisation).
-                self._local_inval_due.add(line)
-            self._fill(req, line, _MODIFIED, True, version + 1, True,
-                       _LOCAL_MEM)
-            if needs_invals:
-                # Eager exclusive grant; the home engine drives the remote
-                # invalidations and gathers the acks in the background.
-                # (no probe: the campaign runs after the eager grant
-                # completed the miss, off its critical path)
-                self.chip.home_engine.deliver_local(
-                    "NEW_LOCAL_INVAL", line,
-                    req_node=self.chip.node_id, is_local=True,
-                    sharers=sorted(direntry.sharers - {self.chip.node_id}),
-                    dir_entry=direntry, req_cpu=req.cpu_id,
-                    version=version,  # epoch: sharers hold <= this version
-                )
+        if reqtype != _READ:
+            return _MODIFIED, True, version + 1, True
+        if direntry.state == _DIR_UNCACHED:
+            return _EXCLUSIVE, True, version, False
+        self.remote_cached.add(line)
+        return _SHARED, True, version, False
 
     def _hand_to_home_engine_fetch(self, req: MemRequest, reqtype: RequestType,
                                    line: int, direntry: DirectoryEntry) -> None:
         """Local request, directory says a remote node owns the line dirty:
         the home engine forwards on our behalf (3-hop)."""
-        exclusive = reqtype != RequestType.READ
+        exclusive = reqtype != _READ
 
         def on_fill(version: int, state: MESI) -> None:
             self.c_remote_dirty.value += 1
             if exclusive:
-                self._fill(req, line, MESI.MODIFIED, owner=True,
+                self._fill(req, line, _MODIFIED, owner=True,
                            version=version + 1, dirty=True,
-                           source=ReplySource.REMOTE_DIRTY)
+                           source=_REMOTE_DIRTY)
             else:
                 self.remote_cached.add(line)
-                self._fill(req, line, MESI.SHARED, owner=True,
+                self._fill(req, line, _SHARED, owner=True,
                            version=version, dirty=False,
-                           source=ReplySource.REMOTE_DIRTY)
+                           source=_REMOTE_DIRTY)
 
         self.chip.home_engine.deliver_local(
             "NEW_LOCAL_FETCH", line,
@@ -457,47 +487,33 @@ class L2Bank(Component):
 
     def _launch_remote_request(self, req: MemRequest, reqtype: RequestType,
                                line: int) -> None:
-        from ..interconnect.packets import PacketType
-
-        ptype = {
-            RequestType.READ: PacketType.READ,
-            RequestType.READ_EXCLUSIVE: PacketType.READ_EXCLUSIVE,
-            RequestType.EXCLUSIVE: PacketType.EXCLUSIVE,
-            RequestType.EXCLUSIVE_NO_DATA: PacketType.EXCLUSIVE_NO_DATA,
-        }[reqtype]
-
         def on_fill(state: str, version: int, three_hop: bool) -> None:
-            if state == "S":
-                self.our_mode[line] = "S"
-                src = (ReplySource.REMOTE_DIRTY if three_hop
-                       else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop
-                 else self.c_remote_mem).value += 1
-                self._fill(req, line, MESI.SHARED, owner=True,
-                           version=version, dirty=False, source=src)
-            elif state == "E":
+            if state == "E":
                 self.our_mode[line] = "E"
                 self.c_remote_mem.value += 1
-                self._fill(req, line, MESI.EXCLUSIVE, owner=True,
-                           version=version, dirty=False,
-                           source=ReplySource.REMOTE_MEM)
+                self._fill(req, line, _EXCLUSIVE, owner=True,
+                           version=version, dirty=False, source=_REMOTE_MEM)
+                return
+            src = _REMOTE_DIRTY if three_hop else _REMOTE_MEM
+            (self.c_remote_dirty if three_hop
+             else self.c_remote_mem).value += 1
+            if state == "S":
+                self.our_mode[line] = "S"
+                self._fill(req, line, _SHARED, owner=True,
+                           version=version, dirty=False, source=src)
             else:  # "M"
                 self.our_mode[line] = "E"
-                src = (ReplySource.REMOTE_DIRTY if three_hop
-                       else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop
-                 else self.c_remote_mem).value += 1
-                if reqtype == RequestType.EXCLUSIVE:
+                if reqtype == _UPGRADE_REQ:
                     # An upgrade grant carries no data: the write builds on
                     # our own cached copy, which may be fresher than the
                     # home's version token.
                     version = max(version, self._onchip_version(line))
-                self._fill(req, line, MESI.MODIFIED, owner=True,
+                self._fill(req, line, _MODIFIED, owner=True,
                            version=version + 1, dirty=True, source=src)
 
-        kind = "NEW_READ" if reqtype == RequestType.READ else "NEW_READX"
+        kind = "NEW_READ" if reqtype == _READ else "NEW_READX"
         self.chip.remote_engine.deliver_local(
-            kind, line, req_ptype=ptype, on_fill=on_fill,
+            kind, line, req_ptype=_REMOTE_PTYPE[reqtype], on_fill=on_fill,
             req_node=self.chip.node_id, req_cpu=req.cpu_id, probe=req.probe,
         )
 
@@ -543,35 +559,52 @@ class L2Bank(Component):
 
     def _fill(self, req: MemRequest, line: int, state: MESI, owner: bool,
               version: int, dirty: bool, source: ReplySource) -> None:
-        if self.inclusive and source in MEMORY_SOURCES:
-            # Inclusive-mode ablation: memory fills also allocate in the
-            # L2 (exactly what Piranha's no-inclusion policy avoids).
-            self._victim_fill(line, version, False)
-        cpu_id = req.cpu_id
-        is_instr = req.is_instr
-        cache_id = cpu_id * 2 + (1 if is_instr else 0)
-        if state in _EXCLUSIVE_STATES:
-            # Single-writer invariant: an exclusive grant sweeps every
-            # other on-chip copy (ICS ordering makes this ack-free).
-            self._invalidate_on_chip(line, cache_id)
-            if not self.inclusive:
-                self._drop_l2_copy(line, self._l2_line(line))
-            # (inclusive mode keeps the L2 copy at its old version; the
-            # dup tags' owner pointer routes reads to the fresh L1 copy,
-            # and eviction recovers the freshest version from the L1s)
-        chip = self.chip
-        evicted = chip.l1_of(cpu_id, is_instr).fill(line, state, owner,
-                                                   version, dirty)
-        self.dup.add_sharer(line, cache_id, state, owner)
-        if chip.checker is not None:
-            chip.checker.on_fill(chip.node_id, cache_id, line, state, version)
+        """Detailed-tier completion: :meth:`_install`, then the event-path
+        work in a fixed order — probe stamp, request completion, the L1
+        victim's routing, pending-entry resolution."""
+        cache_id = req.cpu_id * 2 + (1 if req.is_instr else 0)
+        evicted = self._install(cache_id, line, state, owner, version, dirty,
+                                source)
         now = self.sim.now
         if req.probe is not None:
             req.probe.stamp("fill", now)
         req.complete(now, source)
         if evicted is not None:
-            chip.route_l1_eviction(cache_id, evicted)
+            self.chip.route_l1_eviction(cache_id, evicted)
         self._resolve_pending(line)
+
+    def _install(self, cache_id: int, line: int, state: MESI, owner: bool,
+                 version: int, dirty: bool,
+                 source: ReplySource) -> Optional[Eviction]:
+        """Install one fill in the requester's L1, with the cache, duplicate-
+        tag and checker updates it implies; both tiers' fills end here.
+        Returns the L1 victim for the caller to route."""
+        if self.inclusive and source in MEMORY_SOURCES:
+            # Inclusive-mode ablation: memory fills also allocate in the
+            # L2 (exactly what Piranha's no-inclusion policy avoids).
+            self._victim_fill(line, version, False)
+        if state in _EXCLUSIVE_STATES:
+            # Single-writer invariant: an exclusive grant sweeps every
+            # other on-chip copy (ICS ordering makes this ack-free).
+            self._invalidate_on_chip(line, cache_id)
+            if not self.inclusive:
+                # _drop_l2_copy(line, self._l2_line(line)), one lookup
+                tag = line >> LINE_SHIFT
+                if self.sets[(tag >> self._nbank_bits)
+                             % self.num_sets].pop(tag, None) is not None:
+                    e = self.dup.entries.get(line)
+                    if e is not None and e.owner == L2_OWNER:
+                        e.owner = None
+            # (inclusive mode keeps the L2 copy at its old version; the
+            # dup tags' owner pointer routes reads to the fresh L1 copy,
+            # and eviction recovers the freshest version from the L1s)
+        chip = self.chip
+        evicted = chip.l1_by_id(cache_id).fill(line, state, owner, version,
+                                               dirty)
+        self.dup.add_sharer(line, cache_id, state, owner)
+        if chip.checker is not None:
+            chip.checker.on_fill(chip.node_id, cache_id, line, state, version)
+        return evicted
 
     def _resolve_pending(self, line: int) -> None:
         if line in self._sharing_wb_due or line in self._local_inval_due:
@@ -601,9 +634,9 @@ class L2Bank(Component):
 
     def warm_request(self, cpu_id: int, is_instr: bool,
                      reqtype: RequestType, line: int) -> Optional[ReplySource]:
-        """Serve one L1 miss synchronously: same state mutations as the
-        event path (L1 fill, duplicate tags, victim-cache flow, DRAM page
-        state, checker hooks, counters), zero simulated time, zero events.
+        """Serve one L1 miss synchronously, in zero simulated time and
+        with no events: the detailed path's transitions and
+        :meth:`_install`, without the latencies between them.
 
         Fast-forward phases use this to keep the memory hierarchy warm
         between detailed measurement windows.  Returns the
@@ -613,7 +646,10 @@ class L2Bank(Component):
         would need a protocol-engine transaction (remote home, remote
         sharers, or an upgrade the home must serialise).  Declined
         accesses leave all state untouched; the caller advances its
-        stream statistically instead.
+        stream statistically instead.  L1 victims route through the
+        normal synchronous victim-cache cascade; on multi-node systems
+        that cascade may schedule a remote write-back, which the
+        fast-forward driver drains before advancing time.
         """
         if line in self.pending or line in self.wb_buffer:
             return None
@@ -628,6 +664,7 @@ class L2Bank(Component):
                 # remote invalidation campaign through the home engine
                 return None
         dup_e = self.dup.entries.get(line)
+        fill = None
         if dup_e is not None:
             l1_owner = dup_e.owner
             if (l1_owner is not None and l1_owner != L2_OWNER
@@ -635,129 +672,44 @@ class L2Bank(Component):
                 owner_line = chip.l1_by_id(l1_owner).peek(line)
                 if owner_line is None:
                     return None
-                self.c_requests.value += 1
-                self.c_fwds.value += 1
-                version = owner_line.version
-                dirty = owner_line.dirty
-                if reqtype == _READ:
-                    # downgrade + ownership hand-off, on the line peek()
-                    # returned (see _finish_fwd)
-                    owner_line.state = _SHARED
-                    owner_line.owner = False
-                    checker = chip.checker
-                    if checker is not None:
-                        checker.on_downgrade(chip.node_id, l1_owner, line)
-                    # dirtiness travels with ownership
-                    owner_line.dirty = False
-                    if l1_owner in dup_e.sharers:
-                        dup_e.states[l1_owner] = _SHARED
-                    dup_e.owner = None
-                    self._warm_fill(cache_id, line, _SHARED, True,
-                                    version, dirty, _L2_FWD)
-                else:
-                    self._warm_fill(cache_id, line, _MODIFIED, True,
-                                    version + 1, True, _L2_FWD)
-                return _L2_FWD
-            if cache_id in dup_e.sharers:
+                source = _L2_FWD
+                fill = self._fwd(reqtype, line, l1_owner, owner_line)
+            elif cache_id in dup_e.sharers:
                 own = chip.l1_by_id(cache_id).peek(line)
                 if own is not None:
-                    self.c_requests.value += 1
-                    if reqtype == _READ:
-                        self._warm_fill(cache_id, line, own.state,
-                                        own.owner, own.version, own.dirty,
-                                        _L2_HIT)
-                    else:
-                        self.c_upgrades.value += 1
-                        self._warm_fill(cache_id, line, _MODIFIED,
-                                        True, own.version + 1, True,
-                                        _L2_HIT)
-                    return _L2_HIT
-        tag = line >> LINE_SHIFT
-        lset = self.sets[(tag >> self._nbank_bits) % self.num_sets]
-        l2line = lset.get(tag)
-        if l2line is not None:
-            self.c_requests.value += 1
-            self.c_hits.value += 1
-            version = l2line.version
-            if reqtype == _READ:
-                # no on-chip copy other than (possibly) the requester's
-                # own, as in _finish_l2_hit
-                alone = (dup_e is None or not dup_e.sharers
-                         or (len(dup_e.sharers) == 1
-                             and cache_id in dup_e.sharers))
-                if (alone and line not in self.remote_cached
-                        and self.our_mode.get(line) != "S"):
-                    if not self.inclusive:
-                        # _drop_l2_copy, on the entries already in hand
-                        del lset[tag]
-                        if dup_e is not None and dup_e.owner == L2_OWNER:
-                            dup_e.owner = None
-                    self._warm_fill(cache_id, line, _EXCLUSIVE, True,
-                                    version, l2line.dirty, _L2_HIT)
-                else:
-                    self.dup.set_l2_owner(line)
-                    self._warm_fill(cache_id, line, _SHARED, False,
-                                    version, False, _L2_HIT)
+                    source = _L2_HIT
+                    fill = self._own_copy(reqtype, own)
+        if fill is None:
+            tag = line >> LINE_SHIFT
+            l2line = self.sets[(tag >> self._nbank_bits)
+                               % self.num_sets].get(tag)
+            if l2line is not None:
+                source = _L2_HIT
+                fill = self._l2_hit(cache_id, reqtype, line, l2line)
             else:
-                self._warm_fill(cache_id, line, _MODIFIED, True,
-                                version + 1, True, _L2_HIT)
-            return _L2_HIT
-        # L2 miss: only home-local, remotely-uncached lines can be filled
-        # without engine involvement.
-        if reqtype == _UPGRADE_REQ:
-            reqtype = _READ_EXCLUSIVE
-        if multi:
-            if not chip.is_home(line):
-                return None
-            if chip.dirstore.read(line).state != _DIR_UNCACHED:
-                return None
+                # L2 miss: only home-local lines no remote node caches
+                # can be filled without engine involvement.
+                if not multi:
+                    direntry = _NO_REMOTE_COPIES
+                elif not chip.is_home(line):
+                    return None
+                else:
+                    direntry = chip.dirstore.read(line)
+                    if direntry.state != _DIR_UNCACHED:
+                        return None
+                if reqtype == _NO_DATA_REQ:
+                    self.c_wh64_data_avoided.value += 1
+                if reqtype != _NO_DATA_REQ or multi:
+                    chip.mcs[self.bank_idx].warm_read_line(line)
+                source = _LOCAL_MEM
+                fill = self._local_mem(reqtype, line, direntry)
         self.c_requests.value += 1
-        wants_data = reqtype != _NO_DATA_REQ
-        if not wants_data:
-            self.c_wh64_data_avoided.value += 1
-        if wants_data or multi:
-            chip.mcs[self.bank_idx].warm_read_line(line)
-        version = chip.mem_version(line)
-        self.c_local_mem.value += 1
-        if reqtype == _READ:
-            self._warm_fill(cache_id, line, _EXCLUSIVE, True,
-                            version, False, _LOCAL_MEM)
-        else:
-            self._warm_fill(cache_id, line, _MODIFIED, True,
-                            version + 1, True, _LOCAL_MEM)
-        return _LOCAL_MEM
-
-    def _warm_fill(self, cache_id: int, line: int, state: MESI,
-                   owner: bool, version: int, dirty: bool,
-                   source: ReplySource) -> None:
-        """:meth:`_fill` minus the event-path plumbing (probe stamps,
-        request completion, pending-entry resolution): identical cache /
-        duplicate-tag / checker mutations.  L1 evictions route through
-        the normal synchronous victim-cache cascade, so warm fills
-        exercise the real replacement policy; on multi-node systems that
-        cascade may schedule a remote write-back, which the fast-forward
-        driver drains before advancing time."""
-        chip = self.chip
-        if self.inclusive and source in MEMORY_SOURCES:
-            self._victim_fill(line, version, False)
-        if state in _EXCLUSIVE_STATES:
-            self._invalidate_on_chip(line, cache_id)
-            if not self.inclusive:
-                # _drop_l2_copy(line, self._l2_line(line)), one lookup
-                tag = line >> LINE_SHIFT
-                if self.sets[(tag >> self._nbank_bits)
-                             % self.num_sets].pop(tag, None) is not None:
-                    e = self.dup.entries.get(line)
-                    if e is not None and e.owner == L2_OWNER:
-                        e.owner = None
-        evicted = chip.l1_by_id(cache_id).fill(line, state, owner,
-                                               version, dirty)
-        self.dup.add_sharer(line, cache_id, state, owner)
-        checker = chip.checker
-        if checker is not None:
-            checker.on_fill(chip.node_id, cache_id, line, state, version)
+        state, owner, version, dirty = fill
+        evicted = self._install(cache_id, line, state, owner, version, dirty,
+                                source)
         if evicted is not None:
             chip.route_l1_eviction(cache_id, evicted)
+        return source
 
     # -----------------------------------------------------------------------
     # L1 replacement handling (victim-cache fill policy)

@@ -59,30 +59,23 @@ class RdramChannel(Component):
         self.c_writes = self.stats.counter("writes")
         self.c_queued = self.stats.counter("queued_behind_channel")
 
-    # -- geometry ----------------------------------------------------------
-
-    def _device_of(self, addr: int) -> int:
-        """Interleave pages across the channel's RDRAM devices."""
-        return (addr // self.mem.page_bytes) % self.mem.rdram_per_channel
-
-    def _page_of(self, addr: int) -> int:
-        return addr // self.mem.page_bytes
-
     # -- access ------------------------------------------------------------
 
-    def access(self, addr: int, is_write: bool = False,
-               probe=None) -> MemAccessResult:
-        """Perform one line read/write; returns its timing."""
-        now = self.sim.now
+    def _open_page(self, addr: int, is_write: bool, now: int) -> bool:
+        """The open-page rule both access paths share: count the access,
+        test the row buffer of the page's (device, bank) and keep the page
+        open for another keep-open window.  Returns the page-hit outcome."""
         self.c_accesses.value += 1
         (self.c_writes if is_write else self.c_reads).value += 1
-
-        device = self._device_of(addr)
-        page = self._page_of(addr)
-        # a device's consecutive pages rotate across its internal banks,
-        # each of which keeps its own page open
-        bank = (page // self.mem.rdram_per_channel) % self.mem.banks_per_device
-        open_info = self._open_pages.get((device, bank))
+        mem = self.mem
+        page = addr // mem.page_bytes
+        per_channel = mem.rdram_per_channel
+        # pages interleave across the channel's devices; a device's
+        # consecutive pages rotate across its internal banks, each of
+        # which keeps its own page open
+        key = (page % per_channel,
+               (page // per_channel) % mem.banks_per_device)
+        open_info = self._open_pages.get(key)
         page_hit = (
             open_info is not None
             and open_info[0] == page
@@ -90,6 +83,15 @@ class RdramChannel(Component):
         )
         if page_hit:
             self.c_page_hits.value += 1
+        # Keep the page open for ~1 us from this access.
+        self._open_pages[key] = (page, now + self.keep_open_ps)
+        return page_hit
+
+    def access(self, addr: int, is_write: bool = False,
+               probe=None) -> MemAccessResult:
+        """Perform one line read/write; returns its timing."""
+        now = self.sim.now
+        page_hit = self._open_page(addr, is_write, now)
         access_ps = self.t_page_hit if page_hit else self.t_random
 
         # Channel occupancy: each line holds the 1.6 GB/s channel for its
@@ -102,9 +104,6 @@ class RdramChannel(Component):
         critical = (start - now) + access_ps
         done = critical + self.t_rest
         self._channel_free = start + self.t_line_transfer
-
-        # Keep the page open for ~1 us from this access.
-        self._open_pages[(device, bank)] = (page, now + self.keep_open_ps)
         if probe is not None:
             # whole access charged in one event: stamp the critical word
             # at its computed future time (channel queueing included)
@@ -115,32 +114,13 @@ class RdramChannel(Component):
     def warm_access(self, addr: int, is_write: bool = False) -> bool:
         """Page-state-only access for functional warming.
 
-        Counts the access and updates the open-page table exactly like
-        :meth:`access`, but leaves channel occupancy alone: fast-forward
-        passes no simulated time, so accumulating 40 ns of transfer
-        backlog per warmed line at a frozen clock would poison the next
-        detailed window with a phantom queue.  Returns the page-hit
-        outcome.
+        Applies the open-page rule of :meth:`access` but leaves channel
+        occupancy alone: fast-forward passes no simulated time, so
+        accumulating 40 ns of transfer backlog per warmed line at a
+        frozen clock would poison the next detailed window with a
+        phantom queue.  Returns the page-hit outcome.
         """
-        now = self.sim.now
-        self.c_accesses.value += 1
-        (self.c_writes if is_write else self.c_reads).value += 1
-        mem = self.mem
-        # _page_of, then _device_of from the page
-        page = addr // mem.page_bytes
-        per_channel = mem.rdram_per_channel
-        key = (page % per_channel,
-               (page // per_channel) % mem.banks_per_device)
-        open_info = self._open_pages.get(key)
-        page_hit = (
-            open_info is not None
-            and open_info[0] == page
-            and now <= open_info[1]
-        )
-        if page_hit:
-            self.c_page_hits.value += 1
-        self._open_pages[key] = (page, now + self.keep_open_ps)
-        return page_hit
+        return self._open_page(addr, is_write, self.sim.now)
 
     def forgive_backlog(self) -> None:
         """Drop any channel backlog beyond the current time (warm-phase

@@ -4,10 +4,11 @@ Fast-forward phases advance the machine *without the event queue*: work
 items are pulled straight off each CPU's workload thread in batches and
 their cache effects applied synchronously — L1 lookups (with their LRU /
 silent-upgrade side effects), TLB touches, and for L1 misses the L2
-bank's :meth:`~repro.core.l2.L2Bank.warm_request` mirror of the detailed
-service path (duplicate tags, victim-cache flow, DRAM page state,
-checker hooks).  No simulated time passes and no timing is charged; the
-point is that a detailed measurement window opened right after a
+bank's :meth:`~repro.core.l2.L2Bank.warm_request`.  That runs the
+detailed service path's own timeless transitions and fill step
+(duplicate tags, victim-cache flow, checker hooks) and touches the DRAM
+page state, without the latencies between them.  No simulated time
+passes and no timing is charged; the point is that a detailed measurement window opened right after a
 fast-forward phase sees the L1s, L2, duplicate tags, directory and DRAM
 row buffers in the state a monolithic run would have left them.
 

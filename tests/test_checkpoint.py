@@ -202,6 +202,14 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 3"):
             validate_manifest(manifest, strict=False)
 
+    def test_schema_4_refused_even_when_forced(self):
+        # schema-4 payloads carry L2-bank geometry fields that no longer
+        # exist
+        manifest = self._manifest(b"")
+        manifest["schema"] = 4
+        with pytest.raises(CheckpointError, match="schema 4"):
+            validate_manifest(manifest, strict=False)
+
     def test_python_mismatch_rejected(self):
         manifest = self._manifest(b"")
         manifest["python"] = "2.7"
